@@ -1,13 +1,13 @@
-"""The corpus generation engine: shard tasks, worker pool, resume logic.
+"""The corpus generation engine: shard tasks, claims, resume logic.
 
 :func:`generate_corpus` turns a :class:`~repro.datagen.spec.CorpusSpec` into
 on-disk shards.  The unit of work is one *shard* — a contiguous slice of one
 design's vector suite — and shards are independent by construction, so they
-fan out across a :class:`~concurrent.futures.ProcessPoolExecutor` exactly
-like the serving sweep fans out scenarios: design factory *references* cross
-the process boundary, each worker builds its designs and transient
-factorisations once, and every shard is written atomically with its content
-hash recorded in the manifest.
+fan out through :func:`repro.resilience.jobs.run_jobs` (worker pool, inline
+fallback, per-shard timeout, retry waves) like the eval and serving sweeps:
+design factory *references* cross the process boundary, each worker builds
+its designs and transient factorisations once, and every shard is written
+atomically with its content hash recorded in the manifest.
 
 Determinism contract: vector ``i`` of a design is generated from the ``i``-th
 generator of ``spawn_rngs(seed, num_vectors)`` — the exact derivation
@@ -22,11 +22,6 @@ pipeline it agrees to solver rounding (see ``docs/data-pipeline.md``).
 from __future__ import annotations
 
 import os
-import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -41,6 +36,7 @@ from repro.datagen.shards import (
 from repro.datagen.spec import CorpusDesignSpec, CorpusSpec
 from repro.pdn.designs import Design, design_from_name
 from repro.resilience.errors import CorruptShardError, ShardFailedError
+from repro.resilience.jobs import run_jobs
 from repro.resilience.quarantine import poisoned_sample_indices
 from repro.resilience.retry import RetryPolicy
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
@@ -77,9 +73,9 @@ class GenerationPolicy:
     shard_timeout_s:
         Parent-side deadline per pooled shard.  A shard exceeding it counts
         as a failed attempt (``faults.shard_timeouts``) and is retried; the
-        stuck worker is left to finish or die — its claim fences the retry
-        until it does.  ``None`` disables timeouts (and inline runs cannot
-        enforce them).
+        pool's processes are killed, their claims cleared, and the remaining
+        shards run inline.  ``None`` disables timeouts (and inline runs
+        cannot enforce them).
     quarantine:
         Scan each shard's freshly simulated dataset for non-finite labels or
         current maps; poisoned vectors are dropped from the shard and
@@ -349,14 +345,13 @@ def _generate_shard(task: _ShardTask) -> dict:
             solver=shard_solver,
         )
         # Worker-side telemetry: shard throughput counters plus the per-shard
-        # solver-time histogram, flushed into this process's event shard so a
-        # pool run reports exactly what the same run inline would.
+        # solver-time histogram, which run_jobs flushes into this process's
+        # event shard so a pool run reports exactly what inline would.
         metrics = obs.metrics()
         metrics.counter("datagen.shards_generated").inc()
         metrics.counter("datagen.vectors_generated").inc(len(dataset))
         metrics.histogram("datagen.shard_seconds").observe(shard_span.duration_s)
         metrics.histogram("datagen.sim_seconds").observe(sim_span.duration_s)
-        obs.flush_shard()
         return {
             "deferred": False,
             "record": record.to_dict(),
@@ -403,26 +398,6 @@ def _quarantine_poisoned(task: _ShardTask, dataset):
         ", ".join(entry["key"] for entry in quarantined),
     )
     return dataset.subset(keep), quarantined
-
-
-def _generate_shard_safe(task: _ShardTask) -> dict:
-    """Run :func:`_generate_shard`, converting errors into failure outcomes.
-
-    Only :class:`Exception` is converted — an injected
-    :class:`~repro.faults.WorkerKilled` (or a real signal) still unwinds the
-    worker, exactly as the fault model requires.  The failure outcome is
-    picklable (the error travels as its ``repr``), so the parent's retry
-    loop works identically for pooled and inline execution.
-    """
-    try:
-        return _generate_shard(task)
-    except Exception as error:
-        return {
-            "failed": True,
-            "label": task.label,
-            "index": task.index,
-            "error": repr(error),
-        }
 
 
 def generate_corpus(
@@ -548,51 +523,30 @@ def generate_corpus(
     metrics = obs.metrics()
     failures: list[dict] = []
     with obs.get_tracer().span("datagen.generate_corpus", root=str(root)) as run_span:
-        pending = tasks
-        attempts: dict[tuple[str, int], int] = {}
-        wave = 0
-        while pending:
-            task_by_key = {(task.label, task.index): task for task in pending}
-            retry_next: list[_ShardTask] = []
-            for outcome in _run_tasks(
-                pending, design_factory, num_workers, faults_factory,
-                policy.shard_timeout_s,
-            ):
-                if outcome.get("deferred"):
-                    report.shards_deferred += 1
-                    continue
-                if outcome.get("failed"):
-                    key = (outcome["label"], outcome["index"])
-                    attempts[key] = attempts.get(key, 0) + 1
-                    metrics.counter("faults.errors").inc()
-                    if attempts[key] >= policy.retry.max_attempts:
-                        metrics.counter("faults.exhausted").inc()
-                        report.shards_failed += 1
-                        failures.append(
-                            {
-                                "label": outcome["label"],
-                                "index": outcome["index"],
-                                "error": outcome["error"],
-                                "attempts": attempts[key],
-                            }
-                        )
-                    else:
-                        metrics.counter("faults.retries").inc()
-                        retry_next.append(task_by_key[key])
-                    continue
-                record = ShardRecord.from_dict(outcome["record"])
-                _record_completion(
-                    store, manifest, record, outcome.get("quarantined", ())
-                )
-                report.shards_generated += 1
-                report.samples_generated += record.num_samples
-                report.vectors_quarantined += len(outcome.get("quarantined", ()))
-            pending = retry_next
-            if pending:
-                wave += 1
-                delay = policy.retry.delay(wave)
-                if delay > 0:
-                    time.sleep(delay)
+        # Killed workers never ran their release(): on_broken drops their
+        # dead-pid claims, or the inline remainder would defer exactly the
+        # shards it is meant to finish.
+        for outcome in run_jobs(
+            _generate_shard, tasks, retry=policy.retry, num_workers=num_workers,
+            initializer=_worker_init, initargs=(design_factory, faults_factory),
+            timeout_s=policy.shard_timeout_s, unit="shard",
+            on_broken=store.clear_stale_claims,
+        ):
+            task = outcome.task
+            if outcome.error is not None:
+                report.shards_failed += 1
+                failures.append({"label": task.label, "index": task.index,
+                                 "error": outcome.error, "attempts": outcome.attempts})
+                continue
+            result = outcome.value
+            if result["deferred"]:
+                report.shards_deferred += 1
+                continue
+            record = ShardRecord.from_dict(result["record"])
+            _record_completion(store, manifest, record, result["quarantined"])
+            report.shards_generated += 1
+            report.samples_generated += record.num_samples
+            report.vectors_quarantined += len(result["quarantined"])
         run_span.set(
             generated=report.shards_generated,
             skipped=report.shards_skipped,
@@ -672,78 +626,3 @@ def _record_completion(
     for entry in quarantined:
         manifest.add_quarantine(entry)
     store.save_manifest(manifest)
-
-
-def _run_tasks(
-    tasks: Sequence[_ShardTask],
-    design_factory: DesignFactory,
-    num_workers: Optional[int],
-    faults_factory: Optional[FaultsFactory] = None,
-    shard_timeout_s: Optional[float] = None,
-):
-    """Yield shard outcomes, from a worker pool when possible, else inline.
-
-    Shard-level errors never propagate from here: workers run
-    :func:`_generate_shard_safe`, so an exception becomes a ``failed``
-    outcome the caller's retry loop handles.  ``shard_timeout_s`` is
-    enforced parent-side per pooled shard — a late result counts as a
-    failed attempt (``faults.shard_timeouts``) while the stuck worker's
-    claim keeps fencing the shard until the worker actually exits.
-    """
-    completed = 0
-    if num_workers is None:
-        num_workers = min(len(tasks), os.cpu_count() or 1)
-    if num_workers and num_workers > 0:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=num_workers,
-                initializer=_worker_init,
-                initargs=(design_factory, faults_factory),
-            )
-        except (OSError, PermissionError, NotImplementedError) as error:
-            _LOG.warning("cannot create process pool (%s); generating inline", error)
-        else:
-            with pool:
-                try:
-                    futures = [
-                        pool.submit(_generate_shard_safe, task) for task in tasks
-                    ]
-                    for task, future in zip(tasks, futures):
-                        try:
-                            outcome = future.result(timeout=shard_timeout_s)
-                        except FutureTimeoutError:
-                            future.cancel()
-                            obs.metrics().counter("faults.shard_timeouts").inc()
-                            outcome = {
-                                "failed": True,
-                                "label": task.label,
-                                "index": task.index,
-                                "error": (
-                                    f"TimeoutError('shard exceeded "
-                                    f"{shard_timeout_s}s deadline')"
-                                ),
-                            }
-                        completed += 1
-                        yield outcome
-                    return
-                except (BrokenProcessPool, pickle.PicklingError) as error:
-                    # Worker startup/transport failure, not a shard failure —
-                    # shard exceptions are already failure outcomes.  Shards
-                    # already yielded stay done (the caller recorded them);
-                    # only the remainder falls back to inline execution.
-                    # Hard-killed workers never ran their release(), so drop
-                    # their dead-pid claims before retrying inline —
-                    # otherwise the fallback would defer exactly the shards
-                    # it is meant to finish.
-                    _LOG.warning(
-                        "process pool broke after %d/%d shards (%s); "
-                        "generating the rest inline",
-                        completed,
-                        len(tasks),
-                        error,
-                    )
-                    if tasks:
-                        ShardStore(tasks[0].root).clear_stale_claims()
-    _worker_init(design_factory, faults_factory)
-    for task in tasks[completed:]:
-        yield _generate_shard_safe(task)

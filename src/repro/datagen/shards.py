@@ -33,10 +33,10 @@ import numpy as np
 
 from repro import faults
 from repro.datagen.spec import CorpusSpec
-from repro.io.atomic import atomic_replace
+from repro.io.atomic import atomic_replace, atomic_write_text
 from repro.resilience.errors import CorruptShardError
 from repro.utils import get_logger
-from repro.utils.artifacts import atomic_write_text, git_revision
+from repro.utils.artifacts import git_revision
 from repro.workloads.dataset import NoiseDataset, merge_datasets
 
 _LOG = get_logger("datagen.shards")

@@ -43,6 +43,7 @@ from repro.resilience.retry import RetryPolicy, run_with_retry
 from repro.serving.registry import PredictorRegistry
 from repro.serving.service import ScreeningService
 from repro.utils import get_logger
+from repro.utils.artifacts import git_revision
 from repro.workloads.dataset import NoiseDataset
 
 __all__ = ["HeldoutEvaluation", "CrossDesignReport", "CrossDesignEvaluator"]
@@ -524,8 +525,6 @@ class CrossDesignEvaluator:
         self.ensure_corpus(num_workers=num_workers)
         report = self.load_report() if resume else None
         if report is None:
-            from repro.datagen.shards import git_revision
-
             report = CrossDesignReport(
                 config_hash=self.config.config_hash(),
                 git_rev=git_revision(),

@@ -10,21 +10,17 @@ checkpoint, and reports the noise-map error plus hotspot precision/recall,
 so the sweep answers the question the random vectors cannot: does the model
 hold up on *structured* workloads it was never trained for?
 
-Jobs fan out across a process pool exactly like the datagen engine fans out
+Jobs fan out through :func:`repro.resilience.jobs.run_jobs` like datagen
 shards (checkpoints cross the process boundary, each worker builds its
-designs and transient factorisations once), and the sweep manifest
-(``sweep.json``) follows the same resumable-artefact conventions: config
-hash, atomic row-by-row saves, complete rows skipped on re-run.
+designs and transient factorisations once, failed rows retry in waves), and
+the sweep manifest (``sweep.json``) follows the same resumable-artefact
+conventions: config hash, atomic row-by-row saves, complete rows skipped.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -36,6 +32,7 @@ from repro.eval.config import EvalConfig
 from repro.io.atomic import atomic_write_text
 from repro.io.results import ExperimentRecord, format_table
 from repro.pdn.designs import Design, design_from_name
+from repro.resilience.jobs import run_jobs
 from repro.resilience.retry import RetryPolicy
 from repro.serving.registry import PredictorRegistry
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
@@ -155,7 +152,6 @@ def _run_sweep_job(job: SweepJob) -> dict:
     ) as predict_span:
         prediction = predictor.predict_trace(trace, design)
     obs.metrics().histogram("eval.sweep.predict_seconds").observe(predict_span.duration_s)
-    obs.flush_shard()
     threshold = design.spec.hotspot_threshold
     precision, recall = hotspot_precision_recall(
         prediction.noise_map, truth.tile_noise, threshold
@@ -179,19 +175,6 @@ def _run_sweep_job(job: SweepJob) -> dict:
         else float("inf"),
         "worker_pid": os.getpid(),
     }
-
-
-def _run_sweep_job_safe(job: SweepJob) -> dict:
-    """Run one job, converting errors into picklable failure outcomes.
-
-    Only :class:`Exception` is converted; an injected
-    :class:`~repro.faults.WorkerKilled` still unwinds the worker, exactly
-    like a real kill.
-    """
-    try:
-        return _run_sweep_job(job)
-    except Exception as error:
-        return {"failed": True, "key": job.key, "error": repr(error)}
 
 
 class ScenarioSweep:
@@ -325,49 +308,25 @@ class ScenarioSweep:
         quarantined: dict[str, dict] = {}
         pending = [job for job in jobs if job.key not in rows]
         new_target = len(pending)
-        metrics = obs.metrics()
         if pending:
             references = {
                 heldout: self.config.design_reference(heldout)
                 for heldout in self.config.heldout
             }
-            attempts: dict[str, int] = {}
-            wave = 0
-            while pending:
-                retry_next: list[SweepJob] = []
-                for job, outcome in zip(
-                    pending,
-                    self._run_jobs(pending, references, num_workers, faults_factory),
-                ):
-                    if outcome.get("failed"):
-                        attempts[job.key] = attempts.get(job.key, 0) + 1
-                        metrics.counter("faults.errors").inc()
-                        if attempts[job.key] >= self.retry.max_attempts:
-                            metrics.counter("faults.exhausted").inc()
-                            metrics.counter("faults.quarantined_rows").inc()
-                            quarantined[job.key] = {
-                                "error": outcome["error"],
-                                "attempts": attempts[job.key],
-                            }
-                            _LOG.warning(
-                                "sweep row %s quarantined after %d attempts: %s",
-                                job.key,
-                                attempts[job.key],
-                                outcome["error"],
-                            )
-                            self._save_rows(rows, quarantined)
-                        else:
-                            metrics.counter("faults.retries").inc()
-                            retry_next.append(job)
-                        continue
-                    rows[job.key] = outcome
-                    self._save_rows(rows, quarantined)
-                pending = retry_next
-                if pending:
-                    wave += 1
-                    delay = self.retry.delay(wave)
-                    if delay > 0:
-                        time.sleep(delay)
+            initargs = (str(self.registry_root), references, self.config.dt, faults_factory)
+            for outcome in run_jobs(
+                _run_sweep_job, pending, retry=self.retry, num_workers=num_workers,
+                initializer=_worker_init, initargs=initargs, unit="row",
+            ):
+                job = outcome.task
+                if outcome.error is None:
+                    rows[job.key] = outcome.value
+                else:
+                    obs.metrics().counter("faults.quarantined_rows").inc()
+                    quarantined[job.key] = {"error": outcome.error, "attempts": outcome.attempts}
+                    _LOG.warning("sweep row %s quarantined after %d attempts: %s",
+                                 job.key, outcome.attempts, outcome.error)
+                self._save_rows(rows, quarantined)
         else:
             _LOG.info("sweep already complete (%d rows)", len(rows))
         self._save_rows(rows, quarantined)
@@ -388,55 +347,3 @@ class ScenarioSweep:
             format_table(records, title="scenario sweep"),
         )
         return records
-
-    def _run_jobs(
-        self,
-        pending: list[SweepJob],
-        references: dict[str, str],
-        num_workers: Optional[int],
-        faults_factory: Optional[Callable[[], "faults.FaultInjector"]] = None,
-    ):
-        """Yield one outcome per pending job, pooled when possible, else inline.
-
-        Job errors never propagate: workers run :func:`_run_sweep_job_safe`,
-        so a failed row becomes a ``failed`` outcome the caller's retry loop
-        handles.
-        """
-        completed = 0
-        if num_workers is None:
-            num_workers = min(len(pending), os.cpu_count() or 1)
-        if num_workers and num_workers > 0:
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=num_workers,
-                    initializer=_worker_init,
-                    initargs=(
-                        str(self.registry_root),
-                        references,
-                        self.config.dt,
-                        faults_factory,
-                    ),
-                )
-            except (OSError, PermissionError, NotImplementedError) as error:
-                _LOG.warning("cannot create process pool (%s); sweeping inline", error)
-            else:
-                with pool:
-                    try:
-                        for row in pool.map(_run_sweep_job_safe, pending):
-                            completed += 1
-                            yield row
-                        return
-                    except (BrokenProcessPool, pickle.PicklingError) as error:
-                        # Worker startup/transport failure, not a job failure
-                        # — job errors are already failure outcomes.  Rows
-                        # already yielded stay recorded; the rest run inline.
-                        _LOG.warning(
-                            "process pool broke after %d/%d jobs (%s); "
-                            "sweeping the rest inline",
-                            completed,
-                            len(pending),
-                            error,
-                        )
-        _worker_init(str(self.registry_root), references, self.config.dt, faults_factory)
-        for job in pending[completed:]:
-            yield _run_sweep_job_safe(job)

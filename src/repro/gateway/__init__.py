@@ -13,10 +13,10 @@ sign-off at production scale:
   every accepted future;
 * :class:`~repro.gateway.server.GatewayServer` — a stdlib asyncio TCP
   front-end speaking newline-delimited JSON;
-* :class:`~repro.gateway.faults.FaultInjector` — the deterministic
-  fault-injection seam the concurrency test suite (``tests/gateway/``)
-  scripts worker kills, duplicated/delayed deliveries, and checkpoint-load
-  failures through.
+* :class:`~repro.faults.FaultInjector` (re-exported here) — the
+  deterministic fault-injection seam the concurrency test suite
+  (``tests/gateway/``) scripts worker kills, duplicated/delayed deliveries,
+  and checkpoint-load failures through.
 
 See ``docs/serving.md`` for the architecture and semantics,
 ``scripts/run_gateway.py`` for the CLI entry point, and
@@ -24,7 +24,7 @@ See ``docs/serving.md`` for the architecture and semantics,
 :class:`~repro.serving.service.ScreeningService` loop.
 """
 
-from repro.gateway.faults import FaultInjector, NULL_FAULTS, WorkerKilled
+from repro.faults import FaultInjector, NULL_FAULTS, WorkerKilled
 from repro.gateway.gateway import SHED_POLICIES, ScreeningGateway
 from repro.gateway.messages import (
     GatewayClosed,

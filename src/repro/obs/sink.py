@@ -26,9 +26,10 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro.io.atomic import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanTracer
-from repro.utils.artifacts import atomic_write_text, git_revision
+from repro.utils.artifacts import git_revision
 
 __all__ = [
     "SHARD_PREFIX",

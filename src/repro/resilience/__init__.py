@@ -9,7 +9,9 @@ solver blow-ups and bit-rot as *expected inputs* instead of run-enders:
   shards, :class:`DivergenceError` names the epoch).
 * :mod:`~repro.resilience.retry` — the shared
   :class:`RetryPolicy` / :func:`run_with_retry` vocabulary with injectable
-  sleep, used by datagen shard attempts and eval rows.
+  sleep.
+* :mod:`~repro.resilience.jobs` — :func:`run_jobs`, the one pooled-job
+  runner behind datagen shards, eval sweep rows and serving sweep jobs.
 * :mod:`~repro.resilience.quarantine` — poisoned vectors and rows become
   :class:`QuarantineRecord` entries in the artefact instead of crashes.
 * :mod:`~repro.resilience.checkpoint` — preemption-safe training:
@@ -35,6 +37,7 @@ from repro.resilience.errors import (
     ResilienceError,
     ShardFailedError,
 )
+from repro.resilience.jobs import JobOutcome, run_jobs
 from repro.resilience.quarantine import QuarantineRecord, poisoned_sample_indices
 from repro.resilience.retry import RetryPolicy, run_with_retry
 
@@ -46,6 +49,8 @@ __all__ = [
     "CheckpointError",
     "RetryPolicy",
     "run_with_retry",
+    "JobOutcome",
+    "run_jobs",
     "QuarantineRecord",
     "poisoned_sample_indices",
     "CheckpointPolicy",

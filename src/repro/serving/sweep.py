@@ -1,10 +1,12 @@
 """Multi-process scenario sweeps.
 
 ``screen_scenarios`` fans a list of named workload scenarios (see
-:mod:`repro.workloads.scenarios`) out across a pool of worker processes.
-Each worker owns a :class:`~repro.serving.registry.PredictorRegistry` rooted
-at the shared checkpoint directory plus a small design cache, so designs and
-predictors are built/loaded once per worker rather than once per job.  The
+:mod:`repro.workloads.scenarios`) out across a pool of worker processes
+through :func:`repro.resilience.jobs.run_jobs`, the runner the datagen
+engine and the eval sweep share.  Each worker owns a
+:class:`~repro.serving.registry.PredictorRegistry` rooted at the shared
+checkpoint directory plus a small design cache, so designs and predictors
+are built/loaded once per worker rather than once per job.  The
 results come back as :class:`~repro.io.results.ExperimentRecord` rows ready
 for the standard table/CSV/JSON exporters.
 
@@ -16,9 +18,6 @@ exactly the bytes that were registered.
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -27,13 +26,13 @@ import numpy as np
 
 from repro.io.results import ExperimentRecord
 from repro.pdn.designs import Design, design_from_name
+from repro.resilience.errors import ResilienceError
+from repro.resilience.jobs import run_jobs
+from repro.resilience.retry import RetryPolicy
 from repro.serving.registry import PredictorRegistry
 from repro import obs
-from repro.utils import get_logger
 from repro.workloads.scenarios import build_scenario_trace
 from repro.workloads.specs import ScenarioLike, normalize_scenario
-
-_LOG = get_logger("serving.sweep")
 
 DesignFactory = Callable[[str], Design]
 
@@ -109,7 +108,6 @@ def _run_job(job: ScenarioJob) -> dict:
     ) as predict_span:
         result = predictor.predict_trace(trace, design)
     obs.metrics().histogram("serving.sweep.predict_seconds").observe(predict_span.duration_s)
-    obs.flush_shard()
     hotspots = result.hotspot_map(design.spec.hotspot_threshold)
     return {
         "design": job.design,
@@ -149,49 +147,23 @@ def screen_scenarios(
         inline execution rather than failing.
     experiment:
         Experiment tag stamped on every record.
+
+    Raises
+    ------
+    repro.resilience.ResilienceError
+        On the first job that raises (jobs are not retried), identically
+        inline and pooled: ``scenario job <design>:<scenario> failed:
+        <repr(error)>``, the ``repr`` taken in the process that ran the job.
     """
-    if not jobs:
-        return []
-    registry_root = str(registry_root)
-    if num_workers is None:
-        num_workers = min(len(jobs), os.cpu_count() or 1)
-
-    rows: list[dict]
-    if num_workers and num_workers > 0:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=num_workers,
-                initializer=_worker_init,
-                initargs=(registry_root, design_factory),
-            )
-        except (OSError, PermissionError, NotImplementedError) as error:
-            _LOG.warning("cannot create process pool (%s); running sweep inline", error)
-            rows = _run_inline(jobs, registry_root, design_factory)
-        else:
-            with pool:
-                try:
-                    rows = list(pool.map(_run_job, jobs))
-                except (BrokenProcessPool, pickle.PicklingError) as error:
-                    # Worker startup/transport failure, not a job failure —
-                    # job exceptions (bad checkpoint, unknown scenario, ...)
-                    # propagate unchanged instead of re-running inline.
-                    _LOG.warning(
-                        "process pool broke (%s); running sweep inline", error
-                    )
-                    rows = _run_inline(jobs, registry_root, design_factory)
-    else:
-        rows = _run_inline(jobs, registry_root, design_factory)
-
     records = []
-    for row in rows:
-        label = f"{row['design']}:{row['scenario']}"
-        records.append(ExperimentRecord(experiment=experiment, label=label, values=row))
+    for outcome in run_jobs(
+        _run_job, jobs, retry=RetryPolicy(max_attempts=1), num_workers=num_workers,
+        initializer=_worker_init, initargs=(str(registry_root), design_factory),
+        unit="scenario job",
+    ):
+        job = outcome.task
+        label = f"{job.design}:{job.scenario_label}"
+        if outcome.error is not None:
+            raise ResilienceError(f"scenario job {label} failed: {outcome.error}")
+        records.append(ExperimentRecord(experiment=experiment, label=label, values=outcome.value))
     return records
-
-
-def _run_inline(
-    jobs: Sequence[ScenarioJob], registry_root: str, design_factory: DesignFactory
-) -> list[dict]:
-    """Run the sweep in-process (no pool)."""
-    _worker_init(registry_root, design_factory)
-    return [_run_job(job) for job in jobs]

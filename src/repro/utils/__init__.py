@@ -1,6 +1,6 @@
 """Shared utilities: RNG handling, validation helpers, logging, timing, artefacts."""
 
-from repro.utils.artifacts import atomic_write_text, git_revision
+from repro.utils.artifacts import git_revision
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import (
     check_finite,
@@ -14,7 +14,6 @@ from repro.utils.timing import Timer, timed
 from repro.utils.logging import get_logger
 
 __all__ = [
-    "atomic_write_text",
     "git_revision",
     "RandomState",
     "ensure_rng",

@@ -1,14 +1,9 @@
-"""Shared conventions of resumable on-disk artefacts.
+"""Provenance stamp of resumable on-disk artefacts.
 
 Every resumable artefact in the repository — corpus manifests, evaluation
 reports, sweep manifests, golden baselines, observability run reports —
-follows the same two conventions: files are written atomically (temp file +
-``os.replace``) so a reader can never observe a torn artefact, and each
-artefact stamps the git revision of the generating code for provenance.
-Both helpers lived in :mod:`repro.datagen.shards` historically (which still
-re-exports them).  The atomic-write implementation itself now lives in
-:mod:`repro.io.atomic` (fsync + ``os.replace``); this module re-exports it
-for the layers that import it from here, and keeps :func:`git_revision`.
+stamps the git revision of the generating code (:func:`git_revision`).
+Their atomic writes go through :mod:`repro.io.atomic`.
 """
 
 from __future__ import annotations
@@ -17,9 +12,7 @@ import subprocess
 from pathlib import Path
 from typing import Union
 
-from repro.io.atomic import atomic_write_text
-
-__all__ = ["atomic_write_text", "git_revision"]
+__all__ = ["git_revision"]
 
 
 def git_revision(repo_root: Union[str, Path, None] = None) -> str:

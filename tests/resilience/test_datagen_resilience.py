@@ -1,13 +1,16 @@
 """Datagen under fault injection: retries, quarantine, corruption recovery.
 
-Everything runs inline (``num_workers=0``) with scripted injectors and
-zero-backoff retry policies, so the scenarios are deterministic and fast;
-the real-SIGKILL pool scenario lives in ``tests/datagen/test_determinism.py``
-and the cross-process chaos drill in ``test_chaos_e2e.py``.
+Everything but the shard-timeout scenario runs inline (``num_workers=0``)
+with scripted injectors and zero-backoff retry policies, so the scenarios
+are deterministic and fast; the real-SIGKILL pool scenario lives in
+``tests/datagen/test_determinism.py`` and the cross-process chaos drill in
+``test_chaos_e2e.py``.
 """
 
 import dataclasses
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -295,3 +298,52 @@ class TestCorruptShardError:
         ShardStore(tmp_path).shard_path("small", 0).write_bytes(b"junk")
         with pytest.raises(CorruptShardError):
             load_design_dataset(tmp_path, "small", verify=False)
+
+
+class StallShardOnce(faults.FaultInjector):
+    """Picklable injector factory that stalls shard ``small:0`` once.
+
+    An ``O_EXCL`` marker file makes the stall exactly-once across every
+    process that installs this injector, so the retried attempt runs
+    through.
+    """
+
+    def __init__(self, marker: str, seconds: float):
+        self.marker = marker
+        self.seconds = seconds
+
+    def __call__(self) -> "StallShardOnce":
+        return self
+
+    def before_shard(self, label, index):
+        if (label, index) != ("small", 0):
+            return
+        try:
+            handle = os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return
+        os.close(handle)
+        time.sleep(self.seconds)
+
+
+class TestShardTimeout:
+    def test_stuck_pooled_shard_does_not_hold_the_run(
+        self, tmp_path, make_spec, counter_value
+    ):
+        spec = make_spec(num_vectors=8)
+        clean = generate_corpus(spec, tmp_path / "clean", num_workers=0)
+        policy = dataclasses.replace(FAST_POLICY, shard_timeout_s=1.0)
+        factory = StallShardOnce(str(tmp_path / "stall.marker"), seconds=20.0)
+        started = time.perf_counter()
+        report = generate_corpus(
+            spec, tmp_path / "stalled", num_workers=2, policy=policy,
+            faults_factory=factory,
+        )
+        elapsed = time.perf_counter() - started
+        assert (tmp_path / "stall.marker").exists(), "the scripted stall never fired"
+        assert elapsed < 10.0, f"generate_corpus waited {elapsed:.1f}s on a stuck shard"
+        assert counter_value("faults.shard_timeouts") >= 1
+        if not report.complete:
+            report = generate_corpus(spec, tmp_path / "stalled", num_workers=0)
+        assert report.complete
+        assert manifest_bytes(tmp_path / "stalled") == manifest_bytes(tmp_path / "clean")

@@ -114,10 +114,10 @@ class TestScriptedFaults:
             scripted.before_shard("small", 1)
 
 
-class TestGatewayShim:
-    def test_gateway_reexports_the_shared_objects(self):
-        from repro.gateway import faults as gateway_faults
+class TestGatewayExports:
+    def test_gateway_package_exports_the_shared_objects(self):
+        import repro.gateway as gateway
 
-        assert gateway_faults.FaultInjector is FaultInjector
-        assert gateway_faults.WorkerKilled is WorkerKilled
-        assert gateway_faults.NULL_FAULTS is NULL_FAULTS
+        assert gateway.FaultInjector is FaultInjector
+        assert gateway.WorkerKilled is WorkerKilled
+        assert gateway.NULL_FAULTS is NULL_FAULTS

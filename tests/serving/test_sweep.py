@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pdn import small_test_design
+from repro.resilience import ResilienceError
 from repro.serving import ScenarioJob, default_design_factory, screen_scenarios
 from repro.workloads.scenarios import scenario_names
 
@@ -89,6 +90,27 @@ class TestScreenScenarios:
             assert pooled.values["worst_noise_v"] == pytest.approx(
                 local.values["worst_noise_v"]
             )
+
+
+    def test_failing_job_raises_the_same_error_inline_and_pooled(
+        self, registry, tiny_design
+    ):
+        jobs = [
+            ScenarioJob(design=tiny_design.name, scenario="power_virus", num_steps=60),
+            ScenarioJob(design="unregistered", scenario="power_virus", num_steps=60),
+        ]
+        messages = []
+        for num_workers in (0, 2):
+            with pytest.raises(ResilienceError) as excinfo:
+                screen_scenarios(
+                    jobs, registry.root, design_factory=_tiny_factory,
+                    num_workers=num_workers,
+                )
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(
+            "scenario job unregistered:power_virus failed: KeyError("
+        )
 
 
 class TestDefaultDesignFactory:
