@@ -162,7 +162,7 @@ def run_benchmark(tmp_root: Path, vectors_per_design: int, rounds: int = ROUNDS)
     # miss) lands on both sides instead of skewing whichever stack happened
     # to be measured at the time.  Best-of-N then suppresses the blips.
     service = ScreeningService(
-        registry, max_batch=MAX_BATCH, max_wait=2e-3, cache_size=1, metrics=MetricsRegistry()
+        registry, max_batch=MAX_BATCH, max_wait=2e-3, metrics=MetricsRegistry()
     )
     gateway = ScreeningGateway(
         tmp_root / "checkpoints",
@@ -177,7 +177,9 @@ def run_benchmark(tmp_root: Path, vectors_per_design: int, rounds: int = ROUNDS)
         best = {}
 
         def measure(label, body):
-            service.cache.clear()  # cold model passes, not cache replay
+            # Cold model passes, not cache replay, on both stacks.
+            service.cache.clear()
+            gateway.cache.clear()
             result = body()
             if label not in best or result[0] < best[label][0]:
                 best[label] = result

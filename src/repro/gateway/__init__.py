@@ -1,16 +1,18 @@
 """Async screening gateway: the serving stack as a supervised service.
 
 Where :mod:`repro.serving` provides the in-process building blocks (batched
-predictors, registries, the micro-batching service), ``repro.gateway`` turns
-them into a *deployable front door* for model-based worst-case noise
-sign-off at production scale:
+predictors, registries, the micro-batching core and service),
+``repro.gateway`` turns them into a *deployable front door* for model-based
+worst-case noise sign-off at production scale:
 
 * :class:`~repro.gateway.gateway.ScreeningGateway` — bounded admission with
   configurable overload behaviour, consistent-hash sharded workers (one
-  warm :class:`~repro.serving.registry.PredictorRegistry` partition each),
-  supervisor-driven crash restarts with backoff, hot checkpoint swaps that
-  quiesce one shard between batches, and a graceful drain that resolves
-  every accepted future;
+  warm :class:`~repro.serving.registry.PredictorRegistry` partition each)
+  that answer through the service's
+  :class:`~repro.serving.batching.MicroBatcher` core (so re-sent vectors
+  hit one gateway-wide result cache), supervisor-driven crash restarts with
+  backoff, hot checkpoint swaps that quiesce one shard between batches, and
+  a graceful drain that resolves every accepted future;
 * :class:`~repro.gateway.server.GatewayServer` — a stdlib asyncio TCP
   front-end speaking newline-delimited JSON;
 * :class:`~repro.faults.FaultInjector` (re-exported here) — the

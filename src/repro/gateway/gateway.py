@@ -23,10 +23,15 @@ long-lived service under sustained mixed-design traffic:
 * **Graceful drain** — :meth:`ScreeningGateway.close` stops admission, lets
   workers finish the backlog, and guarantees every accepted future resolves
   (with a result or a typed error; never a hang).
+* **Result cache and coalescing** — the workers share one
+  :class:`~repro.serving.batching.MicroBatcher` (the service's core), so
+  re-sends hit :attr:`ScreeningGateway.cache` and in-batch twins share a
+  forward pass.
 
 Every layer publishes through :mod:`repro.obs`: ``gateway.*`` counters
 (requests, rejected, shed, retries, restarts, swaps, failures,
-duplicates_dropped), queue-depth and per-shard depth gauges, and
+duplicates_dropped, cache_hits, coalesced, model_batches, batched_vectors),
+queue-depth, batch-size and per-shard depth gauges, and
 ``gateway.request_latency.{ok,failed}`` histograms.
 """
 
@@ -57,6 +62,7 @@ from repro.gateway.ring import ConsistentHashRing
 from repro.gateway.worker import DesignFactory, ShardWorker
 from repro.obs.metrics import MetricsRegistry
 from repro.pdn.designs import Design
+from repro.serving.batching import MicroBatcher, drain_inbox
 from repro.serving.registry import PredictorRegistry
 from repro.serving.sweep import default_design_factory
 from repro.utils import check_positive, get_logger
@@ -68,9 +74,11 @@ SHED_POLICIES = ("reject", "shed-oldest")
 
 
 class _GatewayInstruments:
-    """Pre-resolved metric handles shared by the gateway and its workers."""
+    """Metric handles and the micro-batcher shared by the gateway and its workers."""
 
-    def __init__(self, metrics: MetricsRegistry, num_shards: int):
+    def __init__(
+        self, metrics: MetricsRegistry, num_shards: int, max_batch: int, max_wait: float
+    ):
         self.requests = metrics.counter("gateway.requests")
         self.rejected = metrics.counter("gateway.rejected")
         self.shed = metrics.counter("gateway.shed")
@@ -78,15 +86,19 @@ class _GatewayInstruments:
         self.restarts = metrics.counter("gateway.restarts")
         self.swaps = metrics.counter("gateway.swaps")
         self.failures = metrics.counter("gateway.failures")
-        self.duplicates_dropped = metrics.counter("gateway.duplicates_dropped")
         self.queue_depth = metrics.gauge("gateway.queue_depth")
-        self.batch_size = metrics.gauge("gateway.batch_size")
         self.shard_depth = {
             shard: metrics.gauge(f"gateway.shard_depth.{shard}")
             for shard in range(num_shards)
         }
         self.latency_ok = metrics.histogram("gateway.request_latency.ok")
         self.latency_failed = metrics.histogram("gateway.request_latency.failed")
+        self.batcher = MicroBatcher(
+            max_batch, max_wait, metrics, "gateway", on_answer=self._answered
+        )
+
+    def _answered(self, request: GatewayRequest, path: str) -> None:
+        self.latency_ok.observe(time.perf_counter() - request.submitted_at)
 
 
 @dataclass
@@ -123,8 +135,8 @@ class ScreeningGateway:
         :class:`GatewayOverloaded`) or ``"shed-oldest"`` (fail the oldest
         waiting request with :class:`LoadShedError` and admit the new one).
     max_batch / max_wait:
-        Per-worker micro-batching bounds (see
-        :class:`~repro.serving.service.ScreeningService`).
+        Micro-batching bounds of the shared
+        :class:`~repro.serving.batching.MicroBatcher`.
     registry_capacity:
         LRU capacity of each shard's registry partition.
     design_factory:
@@ -161,8 +173,6 @@ class ScreeningGateway:
     ):
         check_positive(num_shards, "num_shards")
         check_positive(queue_limit, "queue_limit")
-        check_positive(max_batch, "max_batch")
-        check_positive(max_wait, "max_wait", strict=False)
         check_positive(backoff_base, "backoff_base", strict=False)
         if shed_policy not in SHED_POLICIES:
             raise ValueError(
@@ -178,7 +188,11 @@ class ScreeningGateway:
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self.metrics = metrics if metrics is not None else obs.metrics()
-        self._obs = _GatewayInstruments(self.metrics, self.num_shards)
+        self._obs = _GatewayInstruments(
+            self.metrics, self.num_shards, self.max_batch, self.max_wait
+        )
+        #: The gateway-wide result cache (shared by every shard worker).
+        self.cache = self._obs.batcher.cache
         self._faults = faults if faults is not None else NULL_FAULTS
         self._design_factory = design_factory
         self._ring = ConsistentHashRing(range(self.num_shards))
@@ -394,20 +408,12 @@ class ScreeningGateway:
                 shard.worker.join(timeout=timeout)
             with self._lock:
                 shard.state = "stopped"
+        # Every request still queued is in ``pending``; only swaps need failing.
         leftover_error = GatewayClosed("gateway closed before the request ran")
         for shard in self._shards.values():
-            while True:
-                try:
-                    item = shard.inbox.get_nowait()
-                except queue.Empty:
-                    break
-                if isinstance(item, GatewayRequest):
-                    item.fail(leftover_error)
-                elif isinstance(item, SwapCommand):
-                    try:
-                        item.done.set_exception(leftover_error)
-                    except Exception:  # pragma: no cover - already resolved
-                        pass
+            for item in drain_inbox(shard.inbox):
+                if isinstance(item, SwapCommand) and not item.done.done():
+                    item.done.set_exception(leftover_error)
         for request in pending:
             request.fail(leftover_error)
         _LOG.info("gateway closed (drain=%s)", drain)
@@ -435,8 +441,6 @@ class ScreeningGateway:
             inbox=shard.inbox,
             registry=shard.registry,
             design_factory=self._design_factory,
-            max_batch=self.max_batch,
-            max_wait=self.max_wait,
             faults=self._faults,
             instruments=self._obs,
             on_crash=self._on_worker_crash,

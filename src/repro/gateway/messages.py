@@ -7,8 +7,9 @@ The gateway's caller-facing error taxonomy also lives here so both the
 in-process API and the wire protocol can map failures to typed responses.
 
 Exactly-once answering is enforced structurally: every request owns one
-:class:`concurrent.futures.Future`, and :meth:`GatewayRequest.resolve` /
-:meth:`GatewayRequest.fail` go through its atomic set-once state machine.
+:class:`concurrent.futures.Future`, and ``resolve`` / ``fail`` (inherited
+from :class:`~repro.serving.batching.BatchRequest`) go through its atomic
+set-once state machine.
 Whichever path answers first — a worker, a retry after a crash, a load-shed
 decision, or the shutdown sweep — wins; every later attempt (duplicated
 delivery, crashed-then-requeued request that had in fact completed) is a
@@ -18,15 +19,11 @@ transition, which is what the fault-injection suite asserts equals one.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
-from repro.core.inference import PredictionResult
-from repro.pdn.designs import Design
-from repro.serving.cache import ScreeningPayload
-from repro.workloads.specs import ScenarioLike
+from repro.serving.batching import BatchRequest
 
 
 class GatewayError(RuntimeError):
@@ -89,8 +86,8 @@ class SwapCommand:
     done: "Future[str]" = field(default_factory=Future)
 
 
-@dataclass
-class GatewayRequest:
+@dataclass(eq=False)
+class GatewayRequest(BatchRequest):
     """One admitted unit of screening work.
 
     ``payload`` is either a concrete vector payload (a
@@ -102,46 +99,12 @@ class GatewayRequest:
     rebuild designs from names through the gateway's design factory.
     """
 
-    payload: Union[ScreeningPayload, ScenarioLike]
-    design: Union[Design, str]
     num_steps: int = 200
     dt: float = 1e-11
     seed: int = 0
-    future: "Future[PredictionResult]" = field(default_factory=Future)
-    submitted_at: float = field(default_factory=time.perf_counter)
     #: Delivery attempts consumed (incremented when a crash requeues it).
     attempts: int = 0
-    #: Number of times a resolution attempt actually won (asserted == 1).
-    answers: int = 0
     #: Set (advisorily) once a worker pulled the request from its inbox; the
     #: ``shed-oldest`` policy prefers victims that have not been dispatched
     #: so shedding does not waste a forward pass already under way.
     dispatched: bool = False
-
-    @property
-    def design_name(self) -> str:
-        """The design's routing key."""
-        return self.design if isinstance(self.design, str) else self.design.name
-
-    @property
-    def done(self) -> bool:
-        """Whether the request has been answered (result, error, or cancel)."""
-        return self.future.done()
-
-    def resolve(self, result: PredictionResult) -> bool:
-        """Answer with a result; returns ``True`` iff this call won the race."""
-        try:
-            self.future.set_result(result)
-        except InvalidStateError:
-            return False
-        self.answers += 1
-        return True
-
-    def fail(self, error: BaseException) -> bool:
-        """Answer with an error; returns ``True`` iff this call won the race."""
-        try:
-            self.future.set_exception(error)
-        except InvalidStateError:
-            return False
-        self.answers += 1
-        return True

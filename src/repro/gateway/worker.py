@@ -1,40 +1,38 @@
 """Shard worker: the actor that turns queued requests into predictions.
 
-One :class:`ShardWorker` thread owns one shard of the design space.  It
-drains its inbox into micro-batches (``max_batch``/``max_wait``, same
-discipline as :class:`~repro.serving.service.ScreeningService`), groups each
-batch by design, materialises scenario payloads into traces, and pushes each
-group through the shard's :class:`~repro.serving.registry.PredictorRegistry`
-in one batched forward pass.  Because the gateway's consistent-hash ring
-routes a design to exactly one shard, the registry partition behind this
-worker only ever sees its own designs and keeps their checkpoints warm.
+One :class:`ShardWorker` thread owns one shard of the design space and
+drains its inbox through the gateway-wide
+:class:`~repro.serving.batching.MicroBatcher` — the micro-batching core the
+:class:`~repro.serving.service.ScreeningService` uses too (fill loop,
+per-design groups, result cache, coalescing, one ``predict_batch`` per
+group).  The ring routes a design to exactly one shard, so the registry
+partition behind a worker keeps its designs' checkpoints warm.
 
-Failure containment is layered:
-
-* a failing **checkpoint load** or **forward pass** fails that design
-  group's requests (typed error on their futures) and the worker lives on;
-* an escaping :class:`BaseException` — including the fault seam's
-  :class:`~repro.faults.WorkerKilled` — is a **crash**: the worker
-  hands its unanswered in-hand requests to the supervisor's crash callback
-  and exits, leaving the inbox (owned by the gateway) intact for its
-  replacement.
-
-The worker never resolves a future twice: every answer goes through
-:meth:`GatewayRequest.resolve`/``fail``, so duplicated deliveries and
-crash-requeue races collapse to one visible answer per request.
+The worker keeps what is gateway-specific: hot swaps at batch boundaries,
+the fault seams, scenario materialisation and the crash handoff.  Its cache
+lookup runs on the worker thread after the registry fetch, so admission
+never blocks the event loop and never answers past a queued
+:class:`~repro.gateway.messages.SwapCommand`.  A failing checkpoint load or
+forward pass fails only that design group; an escaping
+:class:`BaseException` (e.g. :class:`~repro.faults.WorkerKilled`, also
+mid-fill) is a crash: every unanswered request the worker dequeued goes to
+the supervisor's crash callback, and the gateway-owned inbox survives for
+the replacement.  Answers go through the requests' set-once
+``resolve``/``fail``, so duplicated deliveries and crash-requeue races
+collapse to one visible answer per request.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from queue import Empty, Queue
-from typing import Callable, Optional
+from queue import Queue
+from typing import Callable
 
 from repro.features.extraction import VectorFeatures, extract_vector_features
 from repro.faults import FaultInjector
 from repro.gateway.messages import STOP, GatewayRequest, SwapCommand
 from repro.pdn.designs import Design
+from repro.serving.batching import group_by_design
 from repro.serving.registry import PredictorRegistry
 from repro.sim.waveform import CurrentTrace
 from repro.utils import get_logger
@@ -64,12 +62,11 @@ class ShardWorker(threading.Thread):
     design_factory:
         Rebuilds a :class:`Design` from its name for scenario payloads and
         raw traces submitted by name (cached per worker incarnation).
-    max_batch / max_wait:
-        Micro-batching bounds, as in the screening service.
     faults:
         Fault-injection seam; hooks run at dequeue, batch, load and swap.
     instruments:
-        The gateway's shared metric handles (``_GatewayInstruments``).
+        The gateway's ``_GatewayInstruments``: metric handles plus
+        ``batcher``, the gateway-wide micro-batcher (cache outlives crashes).
     on_crash / on_healthy:
         Supervisor callbacks: crash hands over unanswered in-hand requests;
         healthy fires after each successful batch and resets crash backoff.
@@ -84,8 +81,6 @@ class ShardWorker(threading.Thread):
         inbox: "Queue",
         registry: PredictorRegistry,
         design_factory: DesignFactory,
-        max_batch: int,
-        max_wait: float,
         faults: FaultInjector,
         instruments,
         on_crash: CrashCallback,
@@ -99,8 +94,6 @@ class ShardWorker(threading.Thread):
         self.generation = int(generation)
         self.inbox = inbox
         self.registry = registry
-        self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self._design_factory = design_factory
         self._designs: dict[str, Design] = {}
         self._faults = faults
@@ -108,35 +101,29 @@ class ShardWorker(threading.Thread):
         self._on_crash = on_crash
         self._on_healthy = on_healthy
 
-    # ------------------------------------------------------------------ #
-    # thread body
-    # ------------------------------------------------------------------ #
-
     def run(self) -> None:
-        """Drain the inbox until the stop sentinel; crash to the supervisor."""
+        """Drain the inbox until the stop sentinel; crash to the supervisor.
+
+        A swap command or the stop sentinel ends batch filling and takes
+        effect after the in-hand batch: that is the swap's quiesce point, and
+        a graceful drain processes, never abandons.
+        """
         batch: list[GatewayRequest] = []
-        commands: list[SwapCommand] = []
+        stop = None
         try:
-            while True:
-                first = self.inbox.get()
-                if first is STOP:
-                    return
-                if isinstance(first, SwapCommand):
-                    self._apply_swap(first)
-                    continue
-                batch, commands, stopping = self._fill_batch(first)
-                self._process_batch(batch)
+            while stop is not STOP:
                 batch = []
-                while commands:
-                    self._apply_swap(commands.pop(0))
-                if stopping:
-                    return
+                stop = self._obs.batcher.fill(self.inbox, batch, self._dequeue)
+                self._process_batch(batch)
+                if isinstance(stop, SwapCommand):
+                    command, stop = stop, None
+                    self._apply_swap(command)
         except BaseException as error:  # noqa: BLE001 - supervised crash path
             survivors = [request for request in batch if not request.done]
-            for command in commands:
+            if isinstance(stop, SwapCommand):
                 # A swap deferred behind the crashed batch must not be lost
                 # with the thread; the replacement worker applies it.
-                self.inbox.put(command)
+                self.inbox.put(stop)
             _LOG.warning(
                 "shard %d worker (gen %d) crashed with %d request(s) in hand: %s",
                 self.shard_id,
@@ -146,42 +133,10 @@ class ShardWorker(threading.Thread):
             )
             self._on_crash(self, error, survivors)
 
-    # ------------------------------------------------------------------ #
-    # batching
-    # ------------------------------------------------------------------ #
-
-    def _fill_batch(self, first: GatewayRequest):
-        """Micro-batch starting from ``first``; returns (batch, swaps, stop).
-
-        Swap commands encountered while filling are deferred until after the
-        in-hand batch — that *is* the quiesce point: requests dequeued before
-        the command keep their old checkpoint, everything behind it sees the
-        new one.  A stop sentinel ends filling and is honoured after the
-        batch completes (graceful drain processes, never abandons).
-        """
-        first.dispatched = True
-        batch = list(self._faults.on_dequeue(self.shard_id, first))
-        commands: list[SwapCommand] = []
-        deadline = time.perf_counter() + self.max_wait
-        stopping = False
-        while len(batch) < self.max_batch:
-            timeout = deadline - time.perf_counter()
-            try:
-                if timeout > 0:
-                    item = self.inbox.get(timeout=timeout)
-                else:
-                    item = self.inbox.get_nowait()
-            except Empty:
-                break
-            if item is STOP:
-                stopping = True
-                break
-            if isinstance(item, SwapCommand):
-                commands.append(item)
-                break
-            item.dispatched = True
-            batch.extend(self._faults.on_dequeue(self.shard_id, item))
-        return batch, commands, stopping
+    def _dequeue(self, request: GatewayRequest):
+        """Mark a request dispatched and pass it through the dequeue seam."""
+        request.dispatched = True
+        return self._faults.on_dequeue(self.shard_id, request)
 
     def _process_batch(self, batch: list[GatewayRequest]) -> None:
         """Predict one micro-batch, one fused forward pass per design group."""
@@ -189,41 +144,19 @@ class ShardWorker(threading.Thread):
         if not live:
             return
         self._faults.before_batch(self.shard_id, live)
-        groups: dict[str, list[GatewayRequest]] = {}
-        for request in live:
-            groups.setdefault(request.design_name, []).append(request)
-        self._obs.batch_size.set(len(live))
-        for design_name, requests in groups.items():
+        for design_name, requests in group_by_design(live).items():
             self._process_group(design_name, requests)
         self._obs.shard_depth[self.shard_id].set(self.inbox.qsize())
         self._on_healthy(self.shard_id)
 
     def _process_group(self, design_name: str, requests: list[GatewayRequest]) -> None:
         """One design's slice of a batch; failures stay inside the group."""
-        try:
-            self._faults.on_checkpoint_load(self.shard_id, design_name)
-            predictor = self.registry.get(design_name)
-            features = [self._materialise(request, predictor) for request in requests]
-            results = predictor.predict_batch(features, max_batch=self.max_batch)
-        except Exception as error:  # noqa: BLE001 - forwarded to callers
-            self._obs.failures.inc(len(requests))
-            for request in requests:
-                request.fail(error)
-            _LOG.warning(
-                "shard %d batch for design %s failed: %s",
-                self.shard_id,
-                design_name,
-                error,
-            )
-            return
-        finished = time.perf_counter()
-        for request, result in zip(requests, results):
-            if request.resolve(result):
-                self._obs.latency_ok.observe(finished - request.submitted_at)
-            else:
-                # Duplicate delivery or crash-requeue race: the request was
-                # already answered elsewhere; this prediction is dropped.
-                self._obs.duplicates_dropped.inc()
+        self._obs.batcher.run_group(design_name, requests, self._load, self._materialise)
+
+    def _load(self, design_name: str):
+        """The design's predictor, behind the checkpoint-load fault seam."""
+        self._faults.on_checkpoint_load(self.shard_id, design_name)
+        return self.registry.get(design_name)
 
     def _materialise(self, request: GatewayRequest, predictor) -> VectorFeatures:
         """Turn any accepted payload into extracted features."""
@@ -256,10 +189,6 @@ class ShardWorker(threading.Thread):
             design = self._design_factory(request.design)
             self._designs[request.design] = design
         return design
-
-    # ------------------------------------------------------------------ #
-    # control messages
-    # ------------------------------------------------------------------ #
 
     def _apply_swap(self, command: SwapCommand) -> None:
         """Apply a hot checkpoint swap at this quiesce point."""

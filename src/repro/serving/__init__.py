@@ -6,8 +6,11 @@ into *throughput*.  It provides:
 
 * :class:`~repro.serving.registry.PredictorRegistry` — per-design predictor
   checkpoints with LRU residency, so one process serves every design;
-* :class:`~repro.serving.service.ScreeningService` — a micro-batching
-  front-end with an LRU result cache and in-flight coalescing;
+* :class:`~repro.serving.batching.MicroBatcher` — the one micro-batching
+  core (fill loop, per-design groups, LRU result cache, in-flight
+  coalescing, batched forward) behind both the service and the gateway;
+* :class:`~repro.serving.service.ScreeningService` — the in-process
+  front end: admission and lifecycle around a ``MicroBatcher``;
 * :func:`~repro.serving.sweep.screen_scenarios` — a worker-pool sweep that
   fans workload scenarios across processes and aggregates
   :class:`~repro.io.results.ExperimentRecord` rows.
@@ -16,6 +19,7 @@ See ``DESIGN.md`` for how the pieces fit together and
 ``benchmarks/bench_serving.py`` for measured throughput.
 """
 
+from repro.serving.batching import BatchRequest, MicroBatcher, ScreeningStats
 from repro.serving.cache import (
     CacheStats,
     LRUCache,
@@ -23,7 +27,7 @@ from repro.serving.cache import (
     trace_content_hash,
 )
 from repro.serving.registry import PredictorRegistry, RegistryStats
-from repro.serving.service import ScreeningService, ScreeningStats, ServiceClosed
+from repro.serving.service import ScreeningService, ServiceClosed
 from repro.serving.sweep import (
     ScenarioJob,
     default_design_factory,
@@ -31,6 +35,8 @@ from repro.serving.sweep import (
 )
 
 __all__ = [
+    "BatchRequest",
+    "MicroBatcher",
     "CacheStats",
     "LRUCache",
     "result_cache_key",

@@ -53,15 +53,18 @@ def trace_content_hash(payload: ScreeningPayload) -> str:
     return digest.hexdigest()
 
 
-def result_cache_key(payload: ScreeningPayload, predictor: NoisePredictor) -> str:
+def result_cache_key(
+    payload: ScreeningPayload, predictor: NoisePredictor, content_hash: Optional[str] = None
+) -> str:
     """Cache key combining vector content with the predictor version.
 
     The fingerprint folds in the predictor's serving dtype, so the same
     checkpoint served at float32 and float64 yields distinct keys — a cached
     low-precision result can never be returned to a full-precision client
-    (or vice versa).
+    (or vice versa).  ``content_hash`` is the payload's
+    :func:`trace_content_hash` when the caller already computed it.
     """
-    return f"{predictor.fingerprint}:{trace_content_hash(payload)}"
+    return f"{predictor.fingerprint}:{content_hash or trace_content_hash(payload)}"
 
 
 @dataclass

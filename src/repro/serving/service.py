@@ -1,20 +1,13 @@
 """The screening service: micro-batched, cached, multi-design inference.
 
-:class:`ScreeningService` is the serving front-end of the repository.  Callers
+:class:`ScreeningService` is the in-process serving front end.  Callers
 submit test vectors (raw :class:`~repro.sim.waveform.CurrentTrace` objects or
 pre-extracted :class:`~repro.features.extraction.VectorFeatures`) against a
-design name; a background worker drains the request queue into micro-batches
-(up to ``max_batch`` requests, waiting at most ``max_wait`` seconds for the
-batch to fill), groups them by design, and runs each group through the
-registry's predictor in a single batched forward pass.
-
-Three layers keep redundant work off the model:
-
-1. an LRU **result cache** keyed by vector content + predictor fingerprint,
-2. **in-flight coalescing** — concurrent submissions of the same vector share
-   one forward pass, and
-3. **micro-batching** itself, which amortises per-call overhead and reduces
-   the shared distance map once per group instead of once per vector.
+design name; one worker thread answers them through a
+:class:`~repro.serving.batching.MicroBatcher` — the core the gateway's shard
+workers use too.  The service owns admission and lifecycle: the synchronous
+unknown-design check, the submit-side cache/coalesce fast path, latency
+accounting, and a shutdown that resolves every accepted future.
 """
 
 from __future__ import annotations
@@ -23,8 +16,7 @@ import queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field, replace
+from concurrent.futures import Future
 from typing import Optional, Sequence, Union
 
 from repro import obs
@@ -32,11 +24,9 @@ from repro.core.inference import NoisePredictor, PredictionResult
 from repro.features.extraction import VectorFeatures, extract_vector_features
 from repro.obs.metrics import MetricsRegistry
 from repro.pdn.designs import Design
-from repro.serving.cache import LRUCache, ScreeningPayload, trace_content_hash
+from repro.serving.batching import BatchRequest, MicroBatcher, drain_inbox, group_by_design
+from repro.serving.cache import ScreeningPayload, trace_content_hash
 from repro.serving.registry import PredictorRegistry
-from repro.utils import check_positive, get_logger
-
-_LOG = get_logger("serving.service")
 
 
 class ServiceClosed(RuntimeError):
@@ -51,90 +41,7 @@ class ServiceClosed(RuntimeError):
     """
 
 
-@dataclass
-class ScreeningStats:
-    """Aggregate counters of a :class:`ScreeningService`."""
-
-    requests: int = 0
-    cache_hits: int = 0
-    coalesced: int = 0
-    model_batches: int = 0
-    batched_vectors: int = 0
-    max_batch_observed: int = 0
-    failures: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of requests answered from the result cache."""
-        return self.cache_hits / self.requests if self.requests else 0.0
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average number of vectors per model forward pass."""
-        return self.batched_vectors / self.model_batches if self.model_batches else 0.0
-
-
-@dataclass
-class _Request:
-    """One queued unit of work.
-
-    ``submitted_at`` is the submission timestamp captured at the top of
-    :meth:`ScreeningService.submit_async` — the single clock every latency
-    sample is measured from, regardless of which path (cache hit, coalesce,
-    batch) eventually answers the request.
-    """
-
-    payload: ScreeningPayload
-    design: Union[Design, str]
-    key: str
-    content_hash: str
-    future: "Future[PredictionResult]"
-    submitted_at: float = field(default_factory=time.perf_counter)
-
-    @property
-    def design_name(self) -> str:
-        return self.design if isinstance(self.design, str) else self.design.name
-
-
 _SENTINEL = object()
-
-
-def _safe_resolve(
-    future: "Future[PredictionResult]",
-    result: Optional[PredictionResult] = None,
-    error: Optional[BaseException] = None,
-) -> None:
-    """Resolve a future, tolerating callers that cancelled it meanwhile."""
-    try:
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(result)
-    except InvalidStateError:
-        pass
-
-
-def _derived_future(
-    primary: "Future[PredictionResult]", name: str
-) -> "Future[PredictionResult]":
-    """A follower future resolving to a private copy of ``primary``'s result."""
-    derived: "Future[PredictionResult]" = Future()
-
-    def _relay(source: "Future[PredictionResult]") -> None:
-        if source.cancelled():
-            derived.cancel()
-            return
-        exception = source.exception()
-        if exception is not None:
-            _safe_resolve(derived, error=exception)
-            return
-        result = source.result()
-        _safe_resolve(
-            derived, result=replace(result, noise_map=result.noise_map.copy(), name=name)
-        )
-
-    primary.add_done_callback(_relay)
-    return derived
 
 
 class ScreeningService:
@@ -147,21 +54,15 @@ class ScreeningService:
     max_batch:
         Maximum number of requests fused into one forward pass.
     max_wait:
-        Seconds the micro-batcher waits for a batch to fill once the first
-        request arrived.  Keep this at a couple of milliseconds: large enough
-        to fuse concurrent submissions, small enough to be invisible next to
-        a forward pass.
-    cache_size:
-        Capacity of the LRU result cache (entries).
+        Seconds a batch may wait to fill after its first request; a couple
+        of milliseconds fuses concurrent submissions invisibly.
     latency_window:
         Number of recent per-request latencies retained for reporting.
     metrics:
-        Metrics registry the service reports into; defaults to the
-        process-global :func:`repro.obs.metrics` registry (a no-op registry
-        when observability is disabled).  Pass a private live
-        :class:`~repro.obs.metrics.MetricsRegistry` to collect latency
-        histograms regardless of the global toggle — the evaluation
-        protocol does exactly that.
+        Metrics registry to report into; defaults to the process-global
+        :func:`repro.obs.metrics` registry (a no-op when observability is
+        off).  The evaluation protocol passes a private live registry to
+        collect latency histograms regardless of the global toggle.
     """
 
     def __init__(
@@ -169,41 +70,32 @@ class ScreeningService:
         registry: PredictorRegistry,
         max_batch: int = 16,
         max_wait: float = 2e-3,
-        cache_size: int = 1024,
         latency_window: int = 4096,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        check_positive(max_batch, "max_batch")
-        check_positive(max_wait, "max_wait", strict=False)
         self.registry = registry
-        self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
-        self.cache: LRUCache[PredictionResult] = LRUCache(cache_size)
-        self.stats = ScreeningStats()
         # Instrument handles are resolved once here so the hot paths pay one
         # bound-method call each; with a disabled registry they are shared
         # no-op objects (gated by benchmarks/bench_obs.py).
         self.metrics = metrics if metrics is not None else obs.metrics()
+        self._batcher = MicroBatcher(
+            max_batch, max_wait, self.metrics, "serving", on_answer=self._answered
+        )
+        self.max_batch = self._batcher.max_batch
+        self.max_wait = self._batcher.max_wait
+        self.cache = self._batcher.cache
+        self.stats = self._batcher.stats
         self._m_requests = self.metrics.counter("serving.requests")
-        self._m_cache_hits = self.metrics.counter("serving.cache_hits")
-        self._m_coalesced = self.metrics.counter("serving.coalesced")
-        self._m_failures = self.metrics.counter("serving.failures")
-        self._m_model_batches = self.metrics.counter("serving.model_batches")
-        self._m_batched_vectors = self.metrics.counter("serving.batched_vectors")
         self._m_queue_depth = self.metrics.gauge("serving.queue_depth")
-        self._m_batch_size = self.metrics.gauge("serving.batch_size")
         self._m_latency = {
             path: self.metrics.histogram(f"serving.request_latency.{path}")
             for path in ("cache_hit", "coalesced", "batched")
         }
         self._queue: "queue.Queue" = queue.Queue()
-        self._pending: dict[str, "Future[PredictionResult]"] = {}
-        # Guards cache/pending/stats/latencies and the closed flag.  The
-        # registry synchronises itself (and performs cold checkpoint loads
-        # outside its own lock), so registry access never happens under this
-        # lock and a cold load for one design cannot stall cache hits for
-        # already-resident designs.
-        self._lock = threading.Lock()
+        # The batcher's lock also guards the latencies and the closed flag.
+        # Registry access never happens under it, so a cold checkpoint load
+        # for one design cannot stall cache hits for resident designs.
+        self._lock = self._batcher.lock
         self._latencies: deque[float] = deque(maxlen=int(latency_window))
         self._closed = False
         self._abandon = False
@@ -211,10 +103,6 @@ class ScreeningService:
             target=self._run_worker, name="screening-service", daemon=True
         )
         self._worker.start()
-
-    # ------------------------------------------------------------------ #
-    # submission API
-    # ------------------------------------------------------------------ #
 
     def submit(self, payload: ScreeningPayload, design: Union[Design, str]) -> PredictionResult:
         """Screen one vector synchronously (blocks until the result is ready)."""
@@ -227,88 +115,41 @@ class ScreeningService:
 
         ``design`` may be the :class:`Design` object (required when
         ``payload`` is a raw trace, which still needs tiling) or just the
-        design name (sufficient for pre-extracted features).
+        design name (sufficient for pre-extracted features).  Raises
+        :class:`ServiceClosed` once the service is closed — before the
+        registry lookup, so a closed service neither cold-loads a checkpoint
+        nor reports an unknown design — and :class:`KeyError` for an
+        unregistered design.
         """
-        design_name = design if isinstance(design, str) else design.name
+        started = time.perf_counter()
         if not isinstance(payload, VectorFeatures) and isinstance(design, str):
             raise TypeError(
                 "raw traces need the Design object for tiling; pass pre-extracted "
                 "VectorFeatures when only the design name is available"
             )
-        predictor = self._get_predictor(design_name)
-        content_hash = trace_content_hash(payload)
-        key = f"{predictor.fingerprint}:{content_hash}"
-        started = time.perf_counter()
-
-        coalesce_onto: Optional["Future[PredictionResult]"] = None
+        if self._closed:
+            raise ServiceClosed("service is closed")
+        request = BatchRequest(payload=payload, design=design, submitted_at=started)
+        predictor = self.registry.get(request.design_name)
+        request.content_hash = trace_content_hash(payload)
         with self._lock:
-            # Checked under the lock, and the request is enqueued under the
-            # same lock: a concurrent close() either rejects this submission
-            # or places its shutdown sentinel behind it, so every accepted
-            # request is drained before the worker exits.
+            # Checked again under the lock, and the request is enqueued under
+            # the same lock: a concurrent close() either rejects this
+            # submission or places its shutdown sentinel behind it, so every
+            # accepted request is drained before the worker exits.
             if self._closed:
                 raise ServiceClosed("service is closed")
             self.stats.requests += 1
             self._m_requests.inc()
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                self._m_cache_hits.inc()
-                future: "Future[PredictionResult]" = Future()
-                # Fresh map copy (callers may mutate their result) and the
-                # *submitter's* vector name — the key ignores names, so the
-                # cached entry may stem from a differently-named twin.
-                future.set_result(
-                    replace(
-                        cached,
-                        noise_map=cached.noise_map.copy(),
-                        runtime_seconds=time.perf_counter() - started,
-                        name=getattr(payload, "name", ""),
-                    )
-                )
-                elapsed = time.perf_counter() - started
-                self._latencies.append(elapsed)
-                self._m_latency["cache_hit"].observe(elapsed)
-                return future
-            in_flight = self._pending.get(key)
-            if in_flight is not None and not in_flight.done():
-                # Coalesce onto the in-flight request; each coalesced caller
-                # gets its own derived future with a private map copy and its
-                # own vector name — sharing the primary result object would
-                # let one caller's mutation corrupt the other's.  A pending
-                # future that is already *done* here is stale: cancelled by
-                # its caller, or resolved with an error by a batch-worker
-                # failure that leaked the entry.  Coalescing onto it would
-                # hand new submitters an old failure (or a dead future) with
-                # no fresh attempt, so the fresh request below simply
-                # replaces it in the pending map.
-                self.stats.coalesced += 1
-                self._m_coalesced.inc()
-                coalesce_onto = in_flight
-            else:
-                future = Future()
-                self._pending[key] = future
-                self._queue.put(
-                    _Request(
-                        payload=payload,
-                        design=design,
-                        key=key,
-                        content_hash=content_hash,
-                        future=future,
-                        submitted_at=started,
-                    )
-                )
+            path, found = self._batcher.admit(request, predictor)
+            if path == "batched":
+                self._queue.put(request)
                 self._m_queue_depth.set(self._queue.qsize())
-        if coalesce_onto is not None:
-            # Built OUTSIDE the lock: if the primary is already done, these
-            # done-callbacks run inline right here, and _record_latency takes
-            # the (non-reentrant) service lock.  In the rare window where the
-            # primary was cancelled after the check above, the cancellation
-            # propagates to this caller as well.
-            derived = _derived_future(coalesce_onto, getattr(payload, "name", ""))
-            derived.add_done_callback(lambda _: self._record_latency(started, "coalesced"))
-            return derived
-        return future
+                return request.future
+        # Settled OUTSIDE the lock: the latency hook takes it, and a
+        # follower's relay runs inline here when its primary is already done.
+        self._batcher.settle(request, path, found)
+        return request.future
 
     def screen(
         self, payloads: Sequence[ScreeningPayload], design: Union[Design, str]
@@ -321,10 +162,6 @@ class ScreeningService:
         futures = [self.submit_async(payload, design) for payload in payloads]
         return [future.result() for future in futures]
 
-    # ------------------------------------------------------------------ #
-    # introspection / lifecycle
-    # ------------------------------------------------------------------ #
-
     def latencies(self) -> list[float]:
         """Recent per-request latencies in seconds (submission to result).
 
@@ -336,8 +173,8 @@ class ScreeningService:
         with self._lock:
             return list(self._latencies)
 
-    def _record_latency(self, started: float, path: str) -> None:
-        elapsed = time.perf_counter() - started
+    def _answered(self, request: BatchRequest, path: str) -> None:
+        elapsed = time.perf_counter() - request.submitted_at
         with self._lock:
             self._latencies.append(elapsed)
             self._m_latency[path].observe(elapsed)
@@ -369,46 +206,39 @@ class ScreeningService:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # worker internals
-    # ------------------------------------------------------------------ #
-
-    def _get_predictor(self, design_name: str) -> NoisePredictor:
-        return self.registry.get(design_name)
+    @staticmethod
+    def _features(request: BatchRequest, predictor: NoisePredictor) -> VectorFeatures:
+        if isinstance(request.payload, VectorFeatures):
+            return request.payload
+        return extract_vector_features(
+            request.payload,
+            request.design,
+            compression_rate=predictor.compression_rate,
+            rate_step=predictor.rate_step,
+        )
 
     def _run_worker(self) -> None:
-        # The worker must never die with unresolved futures behind it: a
-        # pending-map entry whose future will never resolve makes every later
-        # identical submission coalesce onto a dead future.  Batch failures —
-        # including BaseExceptions a fault-injecting test or interpreter
-        # shutdown may raise — therefore fail the batch's futures before the
-        # (possibly fatal) error propagates, and the ``finally`` sweep below
-        # marks the service closed and rejects whatever is still queued.
+        # The worker must never die with unresolved futures behind it (a
+        # dead in-flight entry would swallow every later identical request):
+        # a BaseException fails the in-hand batch before it propagates, and
+        # the ``finally`` sweep rejects whatever is still queued.
+        batch: list[BatchRequest] = []
         try:
-            while True:
-                first = self._queue.get()
-                if first is _SENTINEL:
-                    break
-                batch = [first]
-                deadline = time.perf_counter() + self.max_wait
-                while len(batch) < self.max_batch:
-                    timeout = deadline - time.perf_counter()
-                    try:
-                        item = self._queue.get(timeout=max(timeout, 0.0)) if timeout > 0 else self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if item is _SENTINEL:
-                        self._queue.put(_SENTINEL)
-                        break
-                    batch.append(item)
+            stop = None
+            while stop is not _SENTINEL:
+                batch = []
+                stop = self._batcher.fill(self._queue, batch)
                 if self._abandon:
-                    self._fail_batch(batch, ServiceClosed("service closed before the request ran"))
+                    error = ServiceClosed("service closed before the request ran")
+                    self._batcher.fail([request for request in batch if not request.done], error)
                     continue
-                try:
-                    self._process_batch(batch)
-                except BaseException as error:
-                    self._fail_batch(batch, error)
-                    raise
+                for design_name, requests in group_by_design(batch).items():
+                    self._batcher.run_group(
+                        design_name, requests, self.registry.get, self._features
+                    )
+        except BaseException as error:
+            self._batcher.fail([request for request in batch if not request.done], error)
+            raise
         finally:
             with self._lock:
                 self._closed = True
@@ -416,97 +246,15 @@ class ScreeningService:
                 ServiceClosed("service worker exited before the request ran")
             )
 
-    def _fail_batch(self, batch: list, error: BaseException) -> None:
-        """Fail every request of a batch (crash path; keeps the maps clean)."""
-        requests = [
-            item for item in batch if item is not _SENTINEL and not item.future.done()
-        ]
-        with self._lock:
-            self.stats.failures += len(requests)
-            self._m_failures.inc(len(requests))
-            for request in requests:
-                self._pending.pop(request.key, None)
-        for request in requests:
-            _safe_resolve(request.future, error=error)
-
     def _flush_unresolved(self, error: BaseException) -> None:
-        """Reject queued requests and stale pending futures after worker exit.
+        """Reject queued requests and stale in-flight requests after worker exit.
 
         Only runs once the worker thread is gone (join or crash), so nothing
-        races the queue drain.  Futures already resolved are untouched.
+        races the queue drain.  Requests already answered are untouched.
         """
-        leftovers: list[_Request] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SENTINEL:
-                leftovers.append(item)
+        leftovers = [item for item in drain_inbox(self._queue) if item is not _SENTINEL]
         with self._lock:
-            stale = [future for future in self._pending.values() if not future.done()]
-            self._pending.clear()
+            leftovers += self._batcher.in_flight.values()
+            self._batcher.in_flight.clear()
         for request in leftovers:
-            _safe_resolve(request.future, error=error)
-        for future in stale:
-            _safe_resolve(future, error=error)
-
-    def _process_batch(self, batch: list[_Request]) -> None:
-        groups: dict[str, list[_Request]] = {}
-        for request in batch:
-            groups.setdefault(request.design_name, []).append(request)
-        for design_name, requests in groups.items():
-            try:
-                self._process_group(design_name, requests)
-            except Exception as error:  # noqa: BLE001 - forwarded to callers
-                with self._lock:
-                    self.stats.failures += len(requests)
-                    self._m_failures.inc(len(requests))
-                    for request in requests:
-                        self._pending.pop(request.key, None)
-                for request in requests:
-                    _safe_resolve(request.future, error=error)
-                _LOG.warning("batch for design %s failed: %s", design_name, error)
-
-    def _process_group(self, design_name: str, requests: list[_Request]) -> None:
-        predictor = self._get_predictor(design_name)
-        features: list[VectorFeatures] = []
-        for request in requests:
-            if isinstance(request.payload, VectorFeatures):
-                features.append(request.payload)
-            else:
-                features.append(
-                    extract_vector_features(
-                        request.payload,
-                        request.design,
-                        compression_rate=predictor.compression_rate,
-                        rate_step=predictor.rate_step,
-                    )
-                )
-        results = predictor.predict_batch(features, max_batch=self.max_batch)
-        finished = time.perf_counter()
-        with self._lock:
-            self.stats.model_batches += 1
-            self.stats.batched_vectors += len(requests)
-            self.stats.max_batch_observed = max(self.stats.max_batch_observed, len(requests))
-            self._m_model_batches.inc()
-            self._m_batched_vectors.inc(len(requests))
-            self._m_batch_size.set(len(requests))
-            batched_latency = self._m_latency["batched"]
-            for request, result in zip(requests, results):
-                # Store a private copy so a caller mutating its returned map
-                # cannot poison later cache hits.  The storage key uses the
-                # fingerprint of the predictor that actually ran (the registry
-                # entry may have been hot-swapped since submission) — a cache
-                # entry must never outlive the model that produced it.
-                store_key = f"{predictor.fingerprint}:{request.content_hash}"
-                self.cache.put(store_key, replace(result, noise_map=result.noise_map.copy()))
-                self._pending.pop(request.key, None)
-                elapsed = finished - request.submitted_at
-                self._latencies.append(elapsed)
-                batched_latency.observe(elapsed)
-        for request, result in zip(requests, results):
-            # A caller may have cancelled its pending future (e.g. after a
-            # result(timeout) expiry); that must not derail the rest of the
-            # group, whose predictions are valid and already cached.
-            _safe_resolve(request.future, result=result)
+            request.fail(error)

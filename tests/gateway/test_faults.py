@@ -62,6 +62,20 @@ class DelayOnce(FaultInjector):
         return (request,)
 
 
+class KillOnDequeue(FaultInjector):
+    """Kill the worker on the ``nth`` dequeue (1-based), once."""
+
+    def __init__(self, nth):
+        self.nth = nth
+        self.dequeued = 0
+
+    def on_dequeue(self, shard_id, request):
+        self.dequeued += 1
+        if self.dequeued == self.nth:
+            raise WorkerKilled("killed while filling a batch")
+        return (request,)
+
+
 class FailLoadOnce(FaultInjector):
     """Fail the first checkpoint fetch with a scripted error."""
 
@@ -116,6 +130,25 @@ def test_worker_killed_mid_batch_loses_nothing(
         assert request.answers == 1
     assert gateway.backoff_history(shard) == [pytest.approx(0.01)]
     wait_for(lambda: gateway.health()["shards"][shard]["state"] == "healthy")
+
+
+@pytest.mark.parametrize("nth", [1, 2])
+def test_crash_during_batch_fill_hands_dequeued_requests_to_supervisor(
+    make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close, nth
+):
+    # nth=1 kills on the first request's dequeue; nth=2 kills while filling
+    # behind an already-dequeued request, so both are in hand.
+    faults = KillOnDequeue(nth)
+    gateway = make_gateway(faults=faults, max_wait=0.5)
+    futures = [
+        gateway.submit_async(features, tiny_design.name) for features in tiny_features[:2]
+    ]
+    for future, expected in zip(futures, expected_results):
+        assert_noise_close(future.result(timeout=10), expected)
+    metrics = gateway.metrics
+    assert metrics.counter("gateway.restarts").value == 1
+    assert metrics.counter("gateway.retries").value == nth
+    assert metrics.counter("gateway.duplicates_dropped").value == 0
 
 
 def test_persistent_crashes_exhaust_retries_with_backoff(

@@ -163,6 +163,23 @@ class TestCloseSemantics:
         with pytest.raises(ServiceClosed):
             service.submit(tiny_traces[0], tiny_design)
 
+    def test_closed_service_rejects_before_registry_lookup(
+        self, registry, tiny_design, tiny_traces
+    ):
+        registry.evict(tiny_design.name)
+        loads = registry.stats.loads
+        service = ScreeningService(registry, max_batch=4)
+        service.close()
+        features = extract_vector_features(tiny_traces[0], tiny_design)
+        # An unknown design is not reported as a KeyError...
+        with pytest.raises(ServiceClosed):
+            service.submit(features, "not-registered")
+        # ...and a non-resident checkpoint is not cold-loaded just to reject.
+        with pytest.raises(ServiceClosed):
+            service.submit(tiny_traces[0], tiny_design)
+        assert registry.stats.loads == loads
+        assert tiny_design.name not in registry.loaded()
+
     def test_close_without_drain_resolves_queued_futures(
         self, registry, serving_predictor, make_gated_predictor, wait_for,
         tiny_design, tiny_traces
