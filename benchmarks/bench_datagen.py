@@ -63,7 +63,6 @@ from repro.pdn.designs import design_from_name
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.rom import ROMOptions
 from repro.sim.transient import TransientEngine, TransientOptions
-from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.dataset import build_dataset
 from repro.workloads.vectors import TestVectorGenerator, VectorConfig
@@ -114,10 +113,9 @@ def _best_of(runs, body):
     """Best-of-N wall time (standard noise suppression for benchmarks)."""
     times, result = [], None
     for _ in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body()
-        times.append(timer.last)
+        started = time.perf_counter()
+        result = body()
+        times.append(time.perf_counter() - started)
     return min(times), result
 
 
@@ -237,11 +235,11 @@ def run_rom_benchmark(rounds: int = ROUNDS):
     )
 
     full_engine = TransientEngine(design.mna, ROM_DT, TransientOptions())
-    build_timer = Timer()
-    with build_timer.measure():
-        rom_engine = TransientEngine(
-            design.mna, ROM_DT, TransientOptions(solver_mode="rom", rom=ROM_OPTIONS)
-        )
+    build_started = time.perf_counter()
+    rom_engine = TransientEngine(
+        design.mna, ROM_DT, TransientOptions(solver_mode="rom", rom=ROM_OPTIONS)
+    )
+    build_seconds = time.perf_counter() - build_started
 
     full_seconds, full_results = _best_of(rounds, lambda: full_engine.run_many(traces))
     rom_seconds, rom_results = _best_of(rounds, lambda: rom_engine.run_many(traces))
@@ -274,7 +272,7 @@ def run_rom_benchmark(rounds: int = ROUNDS):
                 "vectors": ROM_VECTORS,
                 "vectors_per_sec": ROM_VECTORS / rom_seconds,
                 "rank": rom_engine.strategy.rank,
-                "build_s": build_timer.last,
+                "build_s": build_seconds,
                 "speedup_vs_full": speedup,
                 "max_rel_error": max_rel,
                 "fallbacks": stats.fallbacks,
@@ -289,7 +287,7 @@ def run_rom_benchmark(rounds: int = ROUNDS):
         "vectors": ROM_VECTORS,
         "steps": ROM_STEPS,
         "rank": rom_engine.strategy.rank,
-        "rom_build_s": build_timer.last,
+        "rom_build_s": build_seconds,
         "full_s": full_seconds,
         "rom_s": rom_seconds,
         "speedup": speedup,

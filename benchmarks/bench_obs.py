@@ -48,7 +48,6 @@ from repro.io import ExperimentRecord
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.pdn import small_test_design
 from repro.serving import PredictorRegistry, ScreeningService
-from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
@@ -98,10 +97,9 @@ def _best_of(runs, body):
     """Best-of-N wall time (standard noise suppression for micro-benchmarks)."""
     times, result = [], None
     for _ in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body()
-        times.append(timer.last)
+        started = time.perf_counter()
+        result = body()
+        times.append(time.perf_counter() - started)
     return min(times), result
 
 

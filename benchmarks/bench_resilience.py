@@ -36,7 +36,6 @@ from repro.datagen import git_revision
 from repro.faults import NULL_FAULTS, ScriptedFaults
 from repro.io import ExperimentRecord
 from repro.pdn import small_test_design
-from repro.utils import Timer
 from repro.workloads import build_dataset, expansion_split, generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
@@ -106,10 +105,9 @@ def _best_of(runs, body):
     """Best-of-N wall time (standard noise suppression for benchmarks)."""
     times, result = [], None
     for _ in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body()
-        times.append(timer.last)
+        started = time.perf_counter()
+        result = body()
+        times.append(time.perf_counter() - started)
     return min(times), result
 
 

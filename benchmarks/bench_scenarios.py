@@ -22,6 +22,8 @@ and asserts:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from common import save_records
@@ -32,7 +34,6 @@ from repro.datagen import (
     load_design_dataset,
 )
 from repro.io import ExperimentRecord
-from repro.utils import Timer
 from repro.workloads import overlay, scenario_spec
 
 #: Eight distinct scenario families in the mix (with variants/composition).
@@ -65,10 +66,9 @@ def _best_of(runs, body):
     """Best-of-N wall time (standard noise suppression for benchmarks)."""
     times, result = [], None
     for index in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body(index)
-        times.append(timer.last)
+        started = time.perf_counter()
+        result = body(index)
+        times.append(time.perf_counter() - started)
     return min(times), result
 
 

@@ -45,7 +45,6 @@ from repro.nn import no_grad
 from repro.obs import MetricsRegistry
 from repro.pdn import small_test_design
 from repro.serving import PredictorRegistry, ScreeningService
-from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
@@ -114,10 +113,9 @@ def test_serving_throughput_report(benchmark, serving_setup):
         """Best-of-N wall time (standard noise suppression for micro-benchmarks)."""
         times = []
         for _ in range(runs):
-            timer = Timer()
-            with timer.measure():
-                result = body()
-            times.append(timer.last)
+            started = time.perf_counter()
+            result = body()
+            times.append(time.perf_counter() - started)
         return min(times), result
 
     # 1. Sequential per-vector loop (the pre-serving baseline).
@@ -296,10 +294,9 @@ def test_dtype_throughput_report(benchmark):
     def best_of(runs, body):
         times, result = [], None
         for _ in range(runs):
-            timer = Timer()
-            with timer.measure():
-                result = body()
-            times.append(timer.last)
+            started = time.perf_counter()
+            result = body()
+            times.append(time.perf_counter() - started)
         return min(times), result
 
     records, seconds, outputs = [], {}, {}

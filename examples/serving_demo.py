@@ -35,7 +35,7 @@ from repro.io import format_table, latency_throughput_columns
 from repro.pdn.designs import make_design, small_test_design
 from repro.serving import PredictorRegistry
 from repro.workloads import generate_test_vectors
-from repro.workloads.scenarios import scenario_names
+from repro.workloads.scenarios import scenario_families
 from repro.workloads.vectors import VectorConfig
 
 
@@ -104,7 +104,7 @@ def main() -> None:
     jobs = [
         ScenarioJob(design=design.name, scenario=scenario, num_steps=120)
         for design in (primary, variant)
-        for scenario in scenario_names()
+        for scenario in scenario_families()
     ]
     records = screen_scenarios(
         jobs, registry.root, design_factory=serving_design, num_workers=2

@@ -26,10 +26,10 @@ from repro import (
     PipelineConfig,
     TrainingConfig,
     WorstCaseNoiseFramework,
-    build_scenario,
+    build_scenario_trace,
     reference_design,
 )
-from repro.workloads.scenarios import scenario_names
+from repro.workloads.scenarios import scenario_families
 
 
 def main() -> None:
@@ -56,8 +56,8 @@ def main() -> None:
     analysis = DynamicNoiseAnalysis(design, dt)
     simulator_time_saved = 0.0
     flagged = []
-    for index, name in enumerate(scenario_names()):
-        trace = build_scenario(name, design, num_steps=config.num_steps, dt=dt, seed=index)
+    for index, name in enumerate(scenario_families()):
+        trace = build_scenario_trace(name, design, num_steps=config.num_steps, dt=dt, seed=index)
         prediction = predictor.predict_trace(trace, design)
         predicted_worst = prediction.worst_noise
         decision = "VIOLATION -> simulate" if predicted_worst > 0.95 * specification else "pass"

@@ -20,7 +20,7 @@ from repro.workloads import (
     TestVectorGenerator,
     VectorConfig,
     build_dataset,
-    build_scenario,
+    build_scenario_trace,
     expansion_split,
     generate_test_vectors,
 )
@@ -72,7 +72,7 @@ __all__ = [
     "TestVectorGenerator",
     "VectorConfig",
     "build_dataset",
-    "build_scenario",
+    "build_scenario_trace",
     "expansion_split",
     "generate_test_vectors",
     "AccuracyReport",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -27,7 +28,7 @@ from repro.features.extraction import (
 from repro.nn import kernels, load_checkpoint, load_extras, no_grad, save_checkpoint
 from repro.pdn.designs import Design
 from repro.sim.waveform import CurrentTrace
-from repro.utils import Timer, check_non_negative, check_positive
+from repro.utils import check_non_negative, check_positive
 from repro.workloads.dataset import NoiseDataset
 
 
@@ -182,31 +183,33 @@ class NoisePredictor:
 
     def predict_features(self, features: VectorFeatures) -> PredictionResult:
         """Predict from pre-extracted features (tiled current maps)."""
-        timer = Timer()
-        with timer.measure():
-            normalized_currents = self._cast_input(
-                self.normalizer.normalize_currents(features.current_maps)
-            )
-            with no_grad():
-                prediction = self.model(normalized_currents, self._normalized_distance)
-            noise_map = self.normalizer.denormalize_noise(prediction.numpy())
+        started = time.perf_counter()
+        normalized_currents = self._cast_input(
+            self.normalizer.normalize_currents(features.current_maps)
+        )
+        with no_grad():
+            prediction = self.model(normalized_currents, self._normalized_distance)
+        noise_map = self.normalizer.denormalize_noise(prediction.numpy())
         return PredictionResult(
-            noise_map=noise_map, runtime_seconds=timer.last, name=features.name
+            noise_map=noise_map,
+            runtime_seconds=time.perf_counter() - started,
+            name=features.name,
         )
 
     def predict_trace(self, trace: CurrentTrace, design: Design) -> PredictionResult:
         """Predict from a raw test vector (tiling + compression + CNN)."""
-        timer = Timer()
-        with timer.measure():
-            features = extract_vector_features(
-                trace,
-                design,
-                compression_rate=self.compression_rate,
-                rate_step=self.rate_step,
-            )
-            result = self.predict_features(features)
+        started = time.perf_counter()
+        features = extract_vector_features(
+            trace,
+            design,
+            compression_rate=self.compression_rate,
+            rate_step=self.rate_step,
+        )
+        result = self.predict_features(features)
         return PredictionResult(
-            noise_map=result.noise_map, runtime_seconds=timer.last, name=trace.name
+            noise_map=result.noise_map,
+            runtime_seconds=time.perf_counter() - started,
+            name=trace.name,
         )
 
     def _cached_reduced_distance(self) -> np.ndarray:
@@ -238,21 +241,20 @@ class NoisePredictor:
         results: list[PredictionResult] = []
         for start in range(0, len(features), int(max_batch)):
             chunk = features[start : start + int(max_batch)]
-            timer = Timer()
-            with timer.measure():
-                normalized = self._cast_input(
-                    self.normalizer.normalize_current_batch(
-                        [item.current_maps for item in chunk]
-                    )
+            started = time.perf_counter()
+            normalized = self._cast_input(
+                self.normalizer.normalize_current_batch(
+                    [item.current_maps for item in chunk]
                 )
-                with no_grad():
-                    prediction = self.model.forward_batch(
-                        normalized,
-                        self._normalized_distance,
-                        reduced_distance=self._cached_reduced_distance(),
-                    )
-                maps = self.normalizer.denormalize_noise(prediction.numpy())
-            per_vector = timer.last / len(chunk)
+            )
+            with no_grad():
+                prediction = self.model.forward_batch(
+                    normalized,
+                    self._normalized_distance,
+                    reduced_distance=self._cached_reduced_distance(),
+                )
+            maps = self.normalizer.denormalize_noise(prediction.numpy())
+            per_vector = (time.perf_counter() - started) / len(chunk)
             for index, item in enumerate(chunk):
                 results.append(
                     PredictionResult(
@@ -324,10 +326,9 @@ class NoisePredictor:
     ) -> "NoisePredictor":
         """Restore a predictor saved with :meth:`save`.
 
-        Current checkpoints are self-contained; the legacy layout that kept
-        the distance tensor in a ``<name>.distance.npz`` sidecar next to the
-        weights is still read transparently.  ``dtype`` overrides the serving
-        precision; otherwise the checkpoint's recorded ``serving_dtype`` is
+        Checkpoints are self-contained: the distance tensor is stored next to
+        the weights, and a checkpoint without one is rejected with
+        ``FileNotFoundError``.  ``dtype`` overrides the serving precision; otherwise the checkpoint's recorded ``serving_dtype`` is
         used (float64 for checkpoints written before dtype was recorded).
         """
         path = Path(path)
@@ -339,21 +340,12 @@ class NoisePredictor:
         model = WorstCaseNoiseNet(num_bumps=int(metadata["num_bumps"]), config=config)
         load_checkpoint(model, path)
         extras = load_extras(path)
-        if "distance" in extras:
-            distance = extras["distance"]
-        else:
-            sidecar = path.with_name(path.name + ".distance.npz")
-            if not sidecar.exists():
-                raise FileNotFoundError(
-                    f"checkpoint {path} stores no distance tensor and the legacy "
-                    f"sidecar {sidecar} does not exist"
-                )
-            with np.load(sidecar, allow_pickle=False) as data:
-                distance = data["distance"]
+        if "distance" not in extras:
+            raise FileNotFoundError(f"checkpoint {path} stores no distance tensor")
         return cls(
             model=model,
             normalizer=FeatureNormalizer.from_dict(metadata["normalizer"]),
-            distance=distance,
+            distance=extras["distance"],
             compression_rate=metadata["compression_rate"],
             rate_step=metadata["rate_step"],
             dtype=dtype if dtype is not None else metadata.get("serving_dtype", "float64"),

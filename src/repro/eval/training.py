@@ -1,11 +1,11 @@
 """Pooled multi-design training for the cross-design protocol.
 
 The paper's headline claim is about *unseen* designs: a model trained on a
-pool of PDN designs predicts worst-case noise on a design it never saw.  The
-single-design :class:`~repro.core.training.NoiseModelTrainer` cannot express
-that regime — it normalises one dataset against one distance tensor — so
-:class:`MultiDesignTrainer` generalises its batched engine to a *pool* of
-per-design corpora:
+pool of PDN designs predicts worst-case noise on a design it never saw.
+:class:`MultiDesignTrainer` trains one model on a *pool* of per-design
+corpora, on the same epoch driver and batched engine as the single-design
+trainer (:func:`repro.core.training.train_epochs` over a
+:class:`repro.core.training.BatchedEngine` holding every design):
 
 * the feature normaliser is fitted once on the pooled training partitions
   (current/noise percentiles over every design, distance scale from the
@@ -14,41 +14,30 @@ per-design corpora:
   so designs of different tile shapes share one model, but each forward pass
   uses its design's own distance tensor;
 * the per-epoch schedule interleaves the designs' minibatches in seeded
-  shuffled order, and the early-stopping bookkeeping is literally
-  :func:`repro.core.training.note_epoch` — the same code path as the
-  single-design engines.
+  shuffled order; validation is one sample-weighted loss over the pool.
 
 Training is deterministic under a fixed seed, exactly like the single-design
-engines (the determinism suite asserts it).
+trainer (the determinism suite asserts it).  Pooled training runs without a
+checkpoint guard.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
-from repro import faults, obs
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.model import WorstCaseNoiseNet
-from repro.core.training import LOSS_FUNCTIONS, TrainingHistory, _observe_epoch, note_epoch
+from repro.core.training import BatchedEngine, TrainingHistory, train_epochs
 from repro.features.extraction import FeatureNormalizer
-from repro.nn import Adam, no_grad
-from repro.nn.tensor import record_graph
-from repro.utils import Timer, get_logger
-from repro.utils.random import ensure_rng
+from repro.utils import get_logger
 from repro.workloads.dataset import DatasetSplit, NoiseDataset, expansion_split
 
 __all__ = ["MultiDesignTrainer", "PooledTrainingResult", "fit_pooled_normalizer"]
 
 _LOG = get_logger("eval.training")
-
-#: One partition's normalised current maps: dense ``(N, T, m, n)`` when stamp
-#: counts are uniform, else one ``(T_i, m, n)`` array per sample.
-_PartitionInputs = Union[np.ndarray, List[np.ndarray]]
-
 
 def fit_pooled_normalizer(
     datasets: Mapping[str, NoiseDataset],
@@ -170,134 +159,20 @@ class MultiDesignTrainer:
             num_bumps=next(iter(bump_counts.values())), config=model_config
         )
 
-    # ------------------------------------------------------------------ #
-    # partition preparation
-    # ------------------------------------------------------------------ #
-
-    def _normalized_partition(
-        self, label: str, indices: np.ndarray
-    ) -> tuple[_PartitionInputs, np.ndarray]:
-        """Normalise one design's partition once, up front."""
-        dataset = self.datasets[label]
-        samples = [dataset.samples[int(index)] for index in indices]
-        if not samples:
-            empty = np.zeros((0,) + dataset.tile_shape)
-            return empty, empty
-        currents = [
-            self.normalizer.normalize_currents(sample.features.current_maps)
-            for sample in samples
-        ]
-        targets = np.stack(
-            [self.normalizer.normalize_noise(sample.target) for sample in samples]
-        )
-        if len({maps.shape[0] for maps in currents}) == 1:
-            return np.stack(currents), targets
-        return currents, targets
-
-    @staticmethod
-    def _rows(inputs: _PartitionInputs, rows: np.ndarray) -> _PartitionInputs:
-        """Select minibatch rows from a dense or ragged partition."""
-        if isinstance(inputs, np.ndarray):
-            return inputs[rows]
-        return [inputs[int(row)] for row in rows]
-
-    # ------------------------------------------------------------------ #
-    # training
-    # ------------------------------------------------------------------ #
-
     def train(self) -> PooledTrainingResult:
         """Run the pooled training loop and return the best model.
 
-        Mirrors the single-design batched engine: one autograd graph and one
-        fused optimiser step per minibatch, seeded shuffle, validation under
-        ``no_grad``, early stopping via the shared
-        :func:`~repro.core.training.note_epoch` bookkeeping.
+        One :class:`~repro.core.training.BatchedEngine` over every design of
+        the pool, driven by :func:`~repro.core.training.train_epochs`.
         """
-        config = self.training_config
-        rng = ensure_rng(config.seed)
-        optimizer = Adam(
-            self.model.parameters(),
-            learning_rate=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
-        loss_function = LOSS_FUNCTIONS[config.loss]
-
         labels = list(self.datasets)
-        distances = {
-            label: self.normalizer.normalize_distance(self.datasets[label].distance)
-            for label in labels
-        }
-        train_parts = {
-            label: self._normalized_partition(label, self.splits[label].train)
-            for label in labels
-        }
-        validation_parts = {
-            label: self._normalized_partition(label, self.splits[label].validation)
-            for label in labels
-        }
-        num_train = sum(len(targets) for _, targets in train_parts.values())
-        if num_train == 0:
-            raise ValueError("the pooled training partition is empty")
-
-        history = TrainingHistory()
-        best_state = self.model.state_dict()
-        epochs_without_improvement = 0
-        timer = Timer()
-        metrics = obs.metrics()
-
-        with timer.measure():
-            for epoch in range(config.epochs):
-                epoch_started = time.perf_counter()
-                # Per-design shuffled minibatches, then a shuffled interleave
-                # across designs; both draws come from the one seeded stream,
-                # so the schedule is a pure function of the seed.
-                schedule: list[tuple[str, np.ndarray]] = []
-                for label in labels:
-                    count = len(train_parts[label][1])
-                    order = np.arange(count)
-                    if config.shuffle:
-                        rng.shuffle(order)
-                    for start in range(0, count, config.batch_size):
-                        schedule.append((label, order[start:start + config.batch_size]))
-                if config.shuffle:
-                    rng.shuffle(schedule)
-
-                epoch_loss = 0.0
-                for step, (label, rows) in enumerate(schedule):
-                    inputs, targets = train_parts[label]
-                    optimizer.zero_grad()
-                    with record_graph():
-                        prediction = self.model.forward_batch(
-                            self._rows(inputs, rows), distances[label]
-                        )
-                        loss = loss_function(prediction, targets[rows])
-                        loss.backward()
-                    optimizer.step()
-                    faults.active().on_train_step(epoch, step, self.model)
-                    epoch_loss += loss.item() * len(rows)
-                epoch_loss /= num_train
-                _observe_epoch(
-                    metrics, optimizer, num_train, time.perf_counter() - epoch_started
-                )
-
-                validation_loss = self._pooled_validation_loss(
-                    validation_parts, distances, loss_function
-                )
-                stop, best_state, epochs_without_improvement = note_epoch(
-                    self.model,
-                    config,
-                    history,
-                    epoch,
-                    epoch_loss,
-                    validation_loss,
-                    best_state,
-                    epochs_without_improvement,
-                )
-                if stop:
-                    break
-
-        self.model.load_state_dict(best_state)
-        history.wall_clock_seconds = timer.total
+        engine = BatchedEngine(
+            self.model,
+            self.training_config,
+            self.normalizer,
+            [(self.datasets[label], self.splits[label]) for label in labels],
+        )
+        history = train_epochs(self.model, self.training_config, engine)
         _LOG.info(
             "pooled training over %s: %d epochs, best val %.5f",
             labels,
@@ -310,32 +185,3 @@ class MultiDesignTrainer:
             history=history,
             splits=self.splits,
         )
-
-    def _pooled_validation_loss(
-        self,
-        validation_parts: Mapping[str, tuple[_PartitionInputs, np.ndarray]],
-        distances: Mapping[str, np.ndarray],
-        loss_function,
-    ) -> float:
-        """Sample-weighted mean validation loss across the design pool."""
-        total = 0.0
-        count = 0
-        batch_size = max(self.training_config.batch_size, 32)
-        with no_grad():
-            for label, (inputs, targets) in validation_parts.items():
-                part_count = len(targets)
-                if part_count == 0:
-                    continue
-                reduced = self.model.reduce_distance(distances[label])
-                for start in range(0, part_count, batch_size):
-                    stop = min(start + batch_size, part_count)
-                    prediction = self.model.forward_batch(
-                        self._rows(inputs, np.arange(start, stop)),
-                        distances[label],
-                        reduced_distance=reduced,
-                    )
-                    total += loss_function(prediction, targets[start:stop]).item() * (
-                        stop - start
-                    )
-                count += part_count
-        return total / count if count else float("nan")

@@ -76,18 +76,8 @@ class PredictorRegistry:
         return self.root / f"{design_name}.npz"
 
     def available(self) -> tuple[str, ...]:
-        """Design names with a checkpoint on disk (sorted).
-
-        Legacy ``<name>.npz.distance.npz`` sidecars living next to old
-        checkpoints are not designs and are filtered out.
-        """
-        return tuple(
-            sorted(
-                path.stem
-                for path in self.root.glob("*.npz")
-                if not path.stem.endswith(".distance")
-            )
-        )
+        """Design names with a checkpoint on disk (sorted)."""
+        return tuple(sorted(path.stem for path in self.root.glob("*.npz")))
 
     def loaded(self) -> tuple[str, ...]:
         """Design names currently resident in memory (LRU order, oldest first)."""

@@ -42,13 +42,11 @@ from repro.workloads.specs import (
 )
 from repro.workloads.scenarios import (
     ScenarioFamily,
-    build_scenario,
     build_scenario_activity,
     build_scenario_trace,
     family_defaults,
     register_scenario_family,
     scenario_families,
-    scenario_names,
     validate_scenario,
 )
 from repro.workloads.dataset import (
@@ -79,13 +77,11 @@ __all__ = [
     "overlay",
     "concat",
     "mix",
-    "build_scenario",
     "build_scenario_activity",
     "build_scenario_trace",
     "family_defaults",
     "register_scenario_family",
     "scenario_families",
-    "scenario_names",
     "validate_scenario",
     "DatasetSplit",
     "NoiseDataset",

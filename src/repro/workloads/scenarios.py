@@ -39,8 +39,8 @@ Registered families (see ``docs/workloads.md`` for the full catalogue):
 * ``mixed_criticality`` — a steady base load with periodic critical bursts
   on a random subset of clusters.
 
-The legacy ``build_scenario(name, ...)`` API remains as a thin shim over
-the registry and is bit-identical to the original five scenarios.
+With a bare family name, :func:`build_scenario_trace` is bit-identical to
+the original five hard-coded scenarios.
 """
 
 from __future__ import annotations
@@ -128,11 +128,6 @@ def register_scenario_family(name: str, **defaults) -> Callable[[ScenarioBuilder
 def scenario_families() -> tuple[str, ...]:
     """Names of the registered (leaf) scenario families, sorted."""
     return tuple(sorted(_FAMILIES))
-
-
-def scenario_names() -> tuple[str, ...]:
-    """Names of the available scenarios (legacy alias of :func:`scenario_families`)."""
-    return scenario_families()
 
 
 def family_defaults(name: str) -> dict:
@@ -521,33 +516,3 @@ def build_scenario_trace(
     )
     return CurrentTrace(currents, dt, name=name or f"{design.name}-{spec.label}")
 
-
-def build_scenario(
-    name: str,
-    design: Design,
-    num_steps: int = 400,
-    dt: float = 1e-11,
-    seed: RandomState = 0,
-) -> CurrentTrace:
-    """Build a named scenario trace for a design (legacy registry shim).
-
-    Equivalent to :func:`build_scenario_trace` with an all-defaults spec of
-    the named family; output is bit-identical to the original hard-coded
-    scenarios for the five legacy names.
-
-    Parameters
-    ----------
-    name:
-        One of :func:`scenario_names`.
-    design:
-        Target design.
-    num_steps / dt:
-        Trace length and time step.
-    seed:
-        Seed for the scenario's (small) random choices, e.g. which cluster
-        sprints.
-    """
-    return build_scenario_trace(
-        name, design, num_steps=num_steps, dt=dt, seed=seed,
-        name=f"{design.name}-{name}",
-    )

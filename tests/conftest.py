@@ -92,12 +92,12 @@ def alt_predictor(tiny_design):
 
 @pytest.fixture(scope="session")
 def write_legacy_checkpoint():
-    """Writer for the pre-PR-1 on-disk predictor layout.
+    """Writer for the retired sidecar predictor layout.
 
     Returns ``write(predictor, path, with_sidecar)``: weights + metadata in
     the main archive and (optionally) the distance tensor in a
-    ``<name>.distance.npz`` sidecar — what ``NoisePredictor.load`` must keep
-    reading transparently.
+    ``<name>.distance.npz`` sidecar.  ``NoisePredictor.load`` no longer reads
+    sidecars, so such an archive fails to load for want of a distance tensor.
     """
     from repro.nn import save_checkpoint
 

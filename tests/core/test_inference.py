@@ -87,27 +87,6 @@ class TestNoisePredictor:
         restored = NoisePredictor.load(path)
         np.testing.assert_array_equal(restored.distance, predictor.distance)
 
-    def test_load_legacy_sidecar_checkpoint(
-        self, predictor, tiny_design, tiny_traces, tmp_path, write_legacy_checkpoint
-    ):
-        path = tmp_path / "legacy.npz"
-        write_legacy_checkpoint(predictor, path, with_sidecar=True)
-        restored = NoisePredictor.load(path)
-        original = predictor.predict_trace(tiny_traces[0], tiny_design)
-        reloaded = restored.predict_trace(tiny_traces[0], tiny_design)
-        np.testing.assert_allclose(original.noise_map, reloaded.noise_map, rtol=1e-9)
-
-    def test_legacy_roundtrip_preserves_settings_and_distance(
-        self, predictor, tmp_path, write_legacy_checkpoint
-    ):
-        path = tmp_path / "legacy.npz"
-        write_legacy_checkpoint(predictor, path, with_sidecar=True)
-        restored = NoisePredictor.load(path)
-        assert restored.compression_rate == predictor.compression_rate
-        assert restored.rate_step == predictor.rate_step
-        np.testing.assert_array_equal(restored.distance, predictor.distance)
-        assert restored.fingerprint == predictor.fingerprint
-
     def test_load_without_any_distance_source_fails(
         self, predictor, tmp_path, write_legacy_checkpoint
     ):

@@ -100,3 +100,17 @@ class TestNoiseModelTrainer:
         )
         result = trainer.train()
         assert result.normalizer.distance_scale > 0
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_rejects_empty_training_partition(self, tiny_dataset, tiny_split, sequential):
+        empty = type(tiny_split)(
+            train=tiny_split.train[:0],
+            validation=tiny_split.validation,
+            test=tiny_split.test,
+        )
+        with pytest.raises(ValueError, match="training partition is empty"):
+            NoiseModelTrainer(
+                tiny_dataset,
+                split=empty,
+                training_config=TrainingConfig(epochs=1, sequential=sequential),
+            )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ModelConfig, TrainingConfig
+from repro.core.training import NoiseModelTrainer
 from repro.datagen import load_corpus
 from repro.eval import MultiDesignTrainer, fit_pooled_normalizer
 from repro.workloads.dataset import expansion_split
@@ -81,6 +82,37 @@ class TestMultiDesignTrainer:
         first = make_trainer(pool, list(pool)).train()
         other = make_trainer(pool, list(pool), seed=9).train()
         assert first.history.train_loss != other.history.train_loss
+
+    def test_one_design_pool_matches_single_design_trainer(self, tiny_dataset, tiny_split):
+        # Both trainers run the one epoch driver and batched engine; a
+        # one-design pool draws no interleave shuffle, so with equal
+        # normalisers (same percentiles, same max distance) the runs agree
+        # bit for bit.
+        model_config = ModelConfig(
+            distance_kernels=4, fusion_kernels=4, prediction_kernels=6, seed=0
+        )
+        training_config = TrainingConfig(
+            epochs=3, batch_size=2, early_stopping_patience=None, seed=0
+        )
+        assert len(tiny_split.train) > 2 * training_config.batch_size
+        pooled = MultiDesignTrainer(
+            {"x": tiny_dataset},
+            splits={"x": tiny_split},
+            model_config=model_config,
+            training_config=training_config,
+        ).train()
+        single = NoiseModelTrainer(
+            tiny_dataset,
+            design=None,
+            split=tiny_split,
+            model_config=model_config,
+            training_config=training_config,
+        ).train()
+        assert pooled.history.train_loss == single.history.train_loss
+        assert pooled.history.validation_loss == single.history.validation_loss
+        single_state = single.model.state_dict()
+        for name, value in pooled.model.state_dict().items():
+            np.testing.assert_array_equal(value, single_state[name])
 
     def test_rejects_mixed_bump_counts(self, pool):
         from repro.pdn import small_test_design

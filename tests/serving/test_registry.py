@@ -67,22 +67,6 @@ class TestPredictorRegistry:
         with pytest.raises(ValueError):
             PredictorRegistry(tmp_path, capacity=0)
 
-    def test_legacy_sidecar_checkpoint_served_through_registry(
-        self, tmp_path, tiny_design, serving_predictor, tiny_traces, write_legacy_checkpoint
-    ):
-        # A registry root holding an old-layout checkpoint (weights + a
-        # "<name>.npz.distance.npz" sidecar) must list exactly one design and
-        # serve it transparently.
-        registry = PredictorRegistry(tmp_path / "legacy-root", capacity=2)
-        write_legacy_checkpoint(
-            serving_predictor, registry.checkpoint_path(tiny_design.name), with_sidecar=True
-        )
-        assert registry.available() == (tiny_design.name,)
-        loaded = registry.get(tiny_design.name)
-        expected = serving_predictor.predict_trace(tiny_traces[0], tiny_design)
-        served = loaded.predict_trace(tiny_traces[0], tiny_design)
-        np.testing.assert_allclose(served.noise_map, expected.noise_map, rtol=1e-10)
-
 
 class TestRegistryConcurrency:
     """LRU eviction under concurrent access must stay consistent."""
