@@ -34,7 +34,7 @@ from repro.datagen.shards import (
     dataset_content_hash,
 )
 from repro.datagen.spec import CorpusDesignSpec, CorpusSpec
-from repro.pdn.designs import Design, design_from_name
+from repro.pdn.designs import Design, DesignFactory, design_from_name
 from repro.resilience.errors import CorruptShardError, ShardFailedError
 from repro.resilience.jobs import run_jobs
 from repro.resilience.quarantine import poisoned_sample_indices
@@ -49,9 +49,6 @@ from repro.workloads.scenarios import build_scenario_trace
 from repro.workloads.vectors import TestVectorGenerator
 
 _LOG = get_logger("datagen.engine")
-
-#: Signature of a design factory: reference string -> Design.
-DesignFactory = Callable[[str], Design]
 
 #: Signature of a picklable fault-injector factory installed in each worker.
 FaultsFactory = Callable[[], "faults.FaultInjector"]

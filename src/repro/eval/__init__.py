@@ -33,7 +33,7 @@ from repro.eval.baselines import (
 )
 from repro.eval.config import EvalConfig, budget, budget_names
 from repro.eval.protocol import CrossDesignEvaluator, CrossDesignReport, HeldoutEvaluation
-from repro.eval.sweep import ScenarioSweep, SweepJob
+from repro.eval.sweep import ScenarioSweep
 from repro.eval.training import MultiDesignTrainer, PooledTrainingResult, fit_pooled_normalizer
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "CrossDesignReport",
     "HeldoutEvaluation",
     "ScenarioSweep",
-    "SweepJob",
     "BaselineStore",
     "Baseline",
     "DriftReport",

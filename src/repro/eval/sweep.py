@@ -4,24 +4,27 @@ Where :class:`~repro.eval.protocol.CrossDesignEvaluator` measures accuracy on
 the held-out designs' *random* test vectors, :class:`ScenarioSweep` stresses
 the same trained models with the named workload scenarios of
 :mod:`repro.workloads.scenarios` — DVFS ramps, power viruses, clock-gating
-storms — across trace-length and seed variants.  Every job simulates the
-scenario's ground truth, predicts it through the campaign's served
-checkpoint, and reports the noise-map error plus hotspot precision/recall,
-so the sweep answers the question the random vectors cannot: does the model
-hold up on *structured* workloads it was never trained for?
+storms — across trace-length and seed variants.  Every row is the serving
+sweep's screening job (:func:`repro.serving.sweep.screen_job`: the held-out
+design's scenario trace predicted through the campaign's served checkpoint)
+plus the scenario's simulated ground truth, and reports the noise-map error
+and hotspot precision/recall, so the sweep answers the question the random
+vectors cannot: does the model hold up on *structured* workloads it was
+never trained for?
 
-Jobs fan out through :func:`repro.resilience.jobs.run_jobs` like datagen
-shards (checkpoints cross the process boundary, each worker builds its
-designs and transient factorisations once, failed rows retry in waves), and
-the sweep manifest (``sweep.json``) follows the same resumable-artefact
-conventions: config hash, atomic row-by-row saves, complete rows skipped.
+Rows fan out through :func:`repro.resilience.jobs.run_jobs` with the serving
+sweep's worker initializer (checkpoints cross the process boundary, each
+worker builds its designs and transient factorisations once, failed rows
+retry in waves), and the sweep manifest (``sweep.json``) follows the same
+resumable-artefact conventions: config hash, atomic row-by-row saves,
+complete rows skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -34,15 +37,13 @@ from repro.io.results import ExperimentRecord, format_table
 from repro.pdn.designs import Design, design_from_name
 from repro.resilience.jobs import run_jobs
 from repro.resilience.retry import RetryPolicy
-from repro.serving.registry import PredictorRegistry
+from repro.serving.sweep import ScenarioJob, screen_job, worker_init
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.transient import TransientOptions
 from repro import faults, obs
 from repro.utils import get_logger
-from repro.workloads.scenarios import build_scenario_trace
-from repro.workloads.specs import ScenarioLike, normalize_scenario
 
-__all__ = ["SweepJob", "ScenarioSweep"]
+__all__ = ["ScenarioSweep"]
 
 _LOG = get_logger("eval.sweep")
 
@@ -53,126 +54,49 @@ SWEEP_NAME = "sweep.json"
 SWEEP_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SweepJob:
-    """One (held-out design, scenario, variant) evaluation task.
-
-    Attributes
-    ----------
-    heldout:
-        Held-out design label (must have a checkpoint in the campaign
-        registry).
-    scenario:
-        A family name from :func:`repro.workloads.scenarios.scenario_families`
-        or a :class:`~repro.workloads.specs.ScenarioSpec` parameter variant.
-    num_steps:
-        Trace length of this variant.
-    seed:
-        Seed for the scenario's random choices.
-    """
-
-    heldout: str
-    scenario: ScenarioLike
-    num_steps: int
-    seed: int
-
-    @property
-    def scenario_label(self) -> str:
-        """Short scenario identifier (family name, or family + spec hash)."""
-        return normalize_scenario(self.scenario).label
-
-    @property
-    def key(self) -> str:
-        """Stable manifest key of this job (name-only jobs keep legacy keys)."""
-        return f"{self.heldout}:{self.scenario_label}:{self.num_steps}:s{self.seed}"
+def _design_for_label(references: dict[str, str], label: str) -> Design:
+    """Build a campaign design from its label (``"D3"`` -> ``"D3@0.12"``)."""
+    return design_from_name(references[label])
 
 
-# Per-worker state, initialised once per process by _worker_init.
-_WORKER_REGISTRY: Optional[PredictorRegistry] = None
-_WORKER_REFERENCES: dict[str, str] = {}
-_WORKER_DT: float = 1e-11
-_WORKER_DESIGNS: dict[str, Design] = {}
-_WORKER_ANALYSES: dict[str, DynamicNoiseAnalysis] = {}
+# Ground-truth analyses of this process, keyed by design label; an entry is
+# reused only for the design object the screening worker currently caches.
+_ANALYSES: dict[str, tuple[Design, float, DynamicNoiseAnalysis]] = {}
 
 
-def _worker_init(
-    registry_root: str,
-    references: dict[str, str],
-    dt: float,
-    faults_factory: Optional[Callable[[], "faults.FaultInjector"]] = None,
-) -> None:
-    """Process-pool initializer: registry + design references, fresh caches.
-
-    ``faults_factory`` mirrors the datagen engine's: when given, its product
-    is installed as the process-global fault injector so pooled sweep rows
-    script the same failures an inline run would.
-    """
-    global _WORKER_REGISTRY, _WORKER_DT
-    _WORKER_REGISTRY = PredictorRegistry(registry_root)
-    _WORKER_REFERENCES.clear()
-    _WORKER_REFERENCES.update(references)
-    _WORKER_DT = dt
-    _WORKER_DESIGNS.clear()
-    _WORKER_ANALYSES.clear()
-    if faults_factory is not None:
-        faults.install(faults_factory())
-
-
-def _worker_design(label: str) -> Design:
-    """Build (or fetch) this worker's instance of a held-out design."""
-    design = _WORKER_DESIGNS.get(label)
-    if design is None:
-        design = design_from_name(_WORKER_REFERENCES[label])
-        _WORKER_DESIGNS[label] = design
-    return design
-
-
-def _worker_analysis(label: str) -> DynamicNoiseAnalysis:
+def _analysis(label: str, design: Design, dt: float) -> DynamicNoiseAnalysis:
     """Build (or fetch) the cached ground-truth analysis for one design."""
-    analysis = _WORKER_ANALYSES.get(label)
-    if analysis is None:
+    cached = _ANALYSES.get(label)
+    if cached is None or cached[0] is not design or cached[1] != dt:
         options = TransientOptions(store_waveform=False, solver_method="cholesky")
-        analysis = DynamicNoiseAnalysis(_worker_design(label), _WORKER_DT, options)
-        _WORKER_ANALYSES[label] = analysis
-    return analysis
+        cached = (design, dt, DynamicNoiseAnalysis(design, dt, options))
+        _ANALYSES[label] = cached
+    return cached[2]
 
 
-def _run_sweep_job(job: SweepJob) -> dict:
-    """Run one sweep job inside a worker; returns plain row fields."""
-    assert _WORKER_REGISTRY is not None
+def _run_sweep_job(job: ScenarioJob) -> dict:
+    """Run one sweep row inside a worker: the screening job plus ground truth."""
     faults.active().before_row(job.key)
-    design = _worker_design(job.heldout)
-    predictor = _WORKER_REGISTRY.get(job.heldout)
-    trace = build_scenario_trace(
-        job.scenario, design, num_steps=job.num_steps, dt=_WORKER_DT, seed=job.seed
-    )
-    truth = _worker_analysis(job.heldout).run(trace)
-    with obs.get_tracer().span(
-        "eval.sweep.job", heldout=job.heldout, scenario=job.scenario_label
-    ) as predict_span:
-        prediction = predictor.predict_trace(trace, design)
-    obs.metrics().histogram("eval.sweep.predict_seconds").observe(predict_span.duration_s)
-    threshold = design.spec.hotspot_threshold
+    design, trace, prediction, predict_s = screen_job(job)
+    truth = _analysis(job.design, design, job.dt).run(trace)
+    true_worst = float(np.max(truth.tile_noise))
     precision, recall = hotspot_precision_recall(
-        prediction.noise_map, truth.tile_noise, threshold
+        prediction.noise_map, truth.tile_noise, design.spec.hotspot_threshold
     )
     return {
-        "heldout": job.heldout,
+        "heldout": job.design,
         "scenario": job.scenario_label,
         "num_steps": job.num_steps,
         "seed": job.seed,
-        "true_worst_noise_v": float(np.max(truth.tile_noise)),
+        "true_worst_noise_v": true_worst,
         "predicted_worst_noise_v": prediction.worst_noise,
-        "worst_noise_error_mv": abs(prediction.worst_noise - float(np.max(truth.tile_noise)))
-        * 1e3,
+        "worst_noise_error_mv": abs(prediction.worst_noise - true_worst) * 1e3,
         "map_mae_mv": float(np.mean(np.abs(prediction.noise_map - truth.tile_noise))) * 1e3,
         "hotspot_precision": precision,
         "hotspot_recall": recall,
         "sim_runtime_s": truth.runtime_seconds,
-        "predict_runtime_s": predict_span.duration_s,
-        "speedup": truth.runtime_seconds / predict_span.duration_s
-        if predict_span.duration_s > 0
-        else float("inf"),
+        "predict_runtime_s": predict_s,
+        "speedup": truth.runtime_seconds / predict_s if predict_s > 0 else float("inf"),
         "worker_pid": os.getpid(),
     }
 
@@ -213,10 +137,13 @@ class ScenarioSweep:
         """Location of the sweep's resumable manifest."""
         return self.workdir / SWEEP_NAME
 
-    def jobs(self) -> list[SweepJob]:
+    def jobs(self) -> list[ScenarioJob]:
         """The full job grid: held-out designs x scenarios x variants."""
         return [
-            SweepJob(heldout=heldout, scenario=scenario, num_steps=steps, seed=seed)
+            ScenarioJob(
+                design=heldout, scenario=scenario, num_steps=steps, dt=self.config.dt,
+                seed=seed,
+            )
             for heldout in self.config.heldout
             for scenario in self.config.scenarios
             for steps in self.config.scenario_steps
@@ -227,8 +154,8 @@ class ScenarioSweep:
     # manifest
     # ------------------------------------------------------------------ #
 
-    def load_rows(self) -> dict[str, dict]:
-        """Completed rows from the manifest (empty when none exists).
+    def _load_manifest(self) -> dict:
+        """The manifest payload (empty when none exists).
 
         Raises
         ------
@@ -251,17 +178,22 @@ class ScenarioSweep:
                 f"campaign (manifest hash {payload.get('config_hash', '')[:12]}…, "
                 f"config hash {expected[:12]}…); use a fresh workdir"
             )
-        return dict(payload.get("rows", {}))
+        return payload
+
+    def load_rows(self) -> dict[str, dict]:
+        """Completed rows from the manifest (empty when none exists).
+
+        Raises ``ValueError`` when the manifest belongs to a different campaign.
+        """
+        return dict(self._load_manifest().get("rows", {}))
 
     def load_quarantined(self) -> dict[str, dict]:
         """Quarantined rows from the manifest: key -> {error, attempts}.
 
-        Empty when the manifest is missing or predates the resilience layer.
+        Empty when the manifest is missing or predates the resilience layer;
+        raises ``ValueError`` when it belongs to a different campaign.
         """
-        if not self.manifest_path.exists():
-            return {}
-        payload = json.loads(self.manifest_path.read_text())
-        return dict(payload.get("quarantined", {}))
+        return dict(self._load_manifest().get("quarantined", {}))
 
     def _save_rows(
         self, rows: dict[str, dict], quarantined: Optional[dict[str, dict]] = None
@@ -309,14 +241,11 @@ class ScenarioSweep:
         pending = [job for job in jobs if job.key not in rows]
         new_target = len(pending)
         if pending:
-            references = {
-                heldout: self.config.design_reference(heldout)
-                for heldout in self.config.heldout
-            }
-            initargs = (str(self.registry_root), references, self.config.dt, faults_factory)
+            design_factory = functools.partial(_design_for_label, dict(self.config.designs))
+            initargs = (str(self.registry_root), design_factory, faults_factory)
             for outcome in run_jobs(
                 _run_sweep_job, pending, retry=self.retry, num_workers=num_workers,
-                initializer=_worker_init, initargs=initargs, unit="row",
+                initializer=worker_init, initargs=initargs, unit="row",
             ):
                 job = outcome.task
                 if outcome.error is None:

@@ -16,7 +16,8 @@ long-lived service under sustained mixed-design traffic:
   stays warm because no other shard ever touches its designs.
 * **Supervision** — a supervisor thread restarts crashed workers with
   exponential backoff, requeues the crash's unanswered in-hand requests
-  (bounded by ``max_retries``), and reports per-shard health states.
+  (bounded by the ``restart`` policy's attempts), and reports per-shard
+  health states.
 * **Hot swaps** — :meth:`ScreeningGateway.swap_checkpoint` quiesces only the
   owning shard, between batches, so in-flight requests finish on the old
   checkpoint and nothing is dropped.
@@ -59,18 +60,21 @@ from repro.gateway.messages import (
     WorkerCrashed,
 )
 from repro.gateway.ring import ConsistentHashRing
-from repro.gateway.worker import DesignFactory, ShardWorker
+from repro.gateway.worker import ShardWorker
 from repro.obs.metrics import MetricsRegistry
-from repro.pdn.designs import Design
+from repro.pdn.designs import Design, DesignFactory, design_from_name
+from repro.resilience.retry import RetryPolicy
 from repro.serving.batching import MicroBatcher, drain_inbox
 from repro.serving.registry import PredictorRegistry
-from repro.serving.sweep import default_design_factory
 from repro.utils import check_positive, get_logger
 
 _LOG = get_logger("gateway")
 
 #: Admission overload policies.
 SHED_POLICIES = ("reject", "shed-oldest")
+
+#: Upper bound on one supervisor restart delay, in seconds.
+_MAX_RESTART_BACKOFF_S = 2.0
 
 
 class _GatewayInstruments:
@@ -141,18 +145,18 @@ class ScreeningGateway:
         LRU capacity of each shard's registry partition.
     design_factory:
         Rebuilds :class:`Design` objects from names for scenario payloads
-        (defaults to :func:`repro.serving.sweep.default_design_factory`).
+        (defaults to :func:`repro.pdn.designs.design_from_name`).
     faults:
         Fault-injection seam (tests only; defaults to inert hooks).
     metrics:
         Metrics registry to publish into; defaults to the process-global
         :func:`repro.obs.metrics` registry.
-    max_retries:
-        How many times a request stranded by worker crashes is requeued
-        before failing with :class:`WorkerCrashed`.
-    backoff_base / backoff_cap:
-        Supervisor restart backoff: ``min(cap, base * 2**(crashes-1))``
-        seconds, reset after the shard's next successful batch.
+    restart:
+        Crash budget and restart backoff.  A request held by a crashing
+        worker fails with :class:`WorkerCrashed` on its ``max_attempts``-th
+        crash and is requeued before that; the supervisor restarts the shard
+        after ``restart.delay(crashes)`` seconds, capped at 2 s, with
+        ``crashes`` reset by the shard's next successful batch.
     """
 
     def __init__(
@@ -164,16 +168,13 @@ class ScreeningGateway:
         max_batch: int = 16,
         max_wait: float = 2e-3,
         registry_capacity: int = 4,
-        design_factory: DesignFactory = default_design_factory,
+        design_factory: DesignFactory = design_from_name,
         faults: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
+        restart: RetryPolicy = RetryPolicy(max_attempts=3, backoff_s=0.05),
     ):
         check_positive(num_shards, "num_shards")
         check_positive(queue_limit, "queue_limit")
-        check_positive(backoff_base, "backoff_base", strict=False)
         if shed_policy not in SHED_POLICIES:
             raise ValueError(
                 f"shed_policy must be one of {SHED_POLICIES}, got {shed_policy!r}"
@@ -184,9 +185,7 @@ class ScreeningGateway:
         self.shed_policy = shed_policy
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
+        self.restart = restart
         self.metrics = metrics if metrics is not None else obs.metrics()
         self._obs = _GatewayInstruments(
             self.metrics, self.num_shards, self.max_batch, self.max_wait
@@ -479,7 +478,7 @@ class ScreeningGateway:
             self._obs.restarts.inc()
             for request in survivors:
                 request.attempts += 1
-                if request.attempts > self.max_retries:
+                if request.attempts >= self.restart.max_attempts:
                     crashed = WorkerCrashed(
                         f"shard {shard_id} crashed {request.attempts} times "
                         f"while holding this request"
@@ -490,7 +489,7 @@ class ScreeningGateway:
                 else:
                     self._obs.retries.inc()
                     shard.inbox.put(request)
-            delay = min(self.backoff_cap, self.backoff_base * (2 ** (crashes - 1)))
+            delay = min(_MAX_RESTART_BACKOFF_S, self.restart.delay(crashes))
             with self._lock:
                 shard.backoff_history.append(delay)
             _LOG.warning(

@@ -31,7 +31,7 @@ from typing import Callable
 from repro.features.extraction import VectorFeatures, extract_vector_features
 from repro.faults import FaultInjector
 from repro.gateway.messages import STOP, GatewayRequest, SwapCommand
-from repro.pdn.designs import Design
+from repro.pdn.designs import Design, DesignFactory
 from repro.serving.batching import group_by_design
 from repro.serving.registry import PredictorRegistry
 from repro.sim.waveform import CurrentTrace
@@ -40,7 +40,6 @@ from repro.workloads.scenarios import build_scenario_trace
 
 _LOG = get_logger("gateway.worker")
 
-DesignFactory = Callable[[str], Design]
 CrashCallback = Callable[["ShardWorker", BaseException, list], None]
 HealthyCallback = Callable[[int], None]
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -173,6 +174,11 @@ class Design:
             }
         )
         return info
+
+
+#: Signature of a design factory: name or reference string -> Design.  Worker
+#: processes and threads rebuild designs through one instead of unpickling them.
+DesignFactory = Callable[[str], Design]
 
 
 def make_design(spec: DesignSpec, seed: RandomState = None) -> Design:

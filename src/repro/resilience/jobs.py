@@ -4,7 +4,9 @@
 shards (:func:`repro.datagen.generate_corpus`), eval sweep rows
 (:class:`repro.eval.ScenarioSweep`) and serving sweep jobs
 (:func:`repro.serving.screen_scenarios`) all fan out through it and keep
-only their own artefacts (manifests, quarantine, records).
+only their own artefacts (manifests, quarantine, records).  The two sweeps
+share one worker initializer and screening step as well
+(:mod:`repro.serving.sweep`).
 """
 
 from __future__ import annotations

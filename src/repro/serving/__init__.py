@@ -13,7 +13,8 @@ into *throughput*.  It provides:
   front end: admission and lifecycle around a ``MicroBatcher``;
 * :func:`~repro.serving.sweep.screen_scenarios` — a worker-pool sweep that
   fans workload scenarios across processes and aggregates
-  :class:`~repro.io.results.ExperimentRecord` rows.
+  :class:`~repro.io.results.ExperimentRecord` rows; its per-process
+  screening job is the one the eval sweep adds ground truth to.
 
 See ``DESIGN.md`` for how the pieces fit together and
 ``benchmarks/bench_serving.py`` for measured throughput.
@@ -28,11 +29,7 @@ from repro.serving.cache import (
 )
 from repro.serving.registry import PredictorRegistry, RegistryStats
 from repro.serving.service import ScreeningService, ServiceClosed
-from repro.serving.sweep import (
-    ScenarioJob,
-    default_design_factory,
-    screen_scenarios,
-)
+from repro.serving.sweep import ScenarioJob, screen_scenarios
 
 __all__ = [
     "BatchRequest",
@@ -47,6 +44,5 @@ __all__ = [
     "ScreeningStats",
     "ServiceClosed",
     "ScenarioJob",
-    "default_design_factory",
     "screen_scenarios",
 ]

@@ -1,14 +1,19 @@
-"""Multi-process scenario sweeps.
+"""The per-process scenario-screening job, and the serving sweep over it.
 
-``screen_scenarios`` fans a list of named workload scenarios (see
-:mod:`repro.workloads.scenarios`) out across a pool of worker processes
-through :func:`repro.resilience.jobs.run_jobs`, the runner the datagen
-engine and the eval sweep share.  Each worker owns a
-:class:`~repro.serving.registry.PredictorRegistry` rooted at the shared
-checkpoint directory plus a small design cache, so designs and predictors
-are built/loaded once per worker rather than once per job.  The
-results come back as :class:`~repro.io.results.ExperimentRecord` rows ready
-for the standard table/CSV/JSON exporters.
+:func:`screen_job` is the pipeline's one scenario-screening step: fetch
+the worker's cached design, fetch its predictor from the worker's
+:class:`~repro.serving.registry.PredictorRegistry`, build the scenario trace
+(see :mod:`repro.workloads.scenarios`) and predict it under one
+``sweep.job`` span.  :func:`worker_init` sets up that per-process state, so
+designs and predictors are built/loaded once per worker rather than once
+per job.
+
+Two sweeps fan the step out through :func:`repro.resilience.jobs.run_jobs`,
+the runner the datagen engine shares.  :func:`screen_scenarios` here formats
+each prediction into an :class:`~repro.io.results.ExperimentRecord` row
+ready for the standard table/CSV/JSON exporters; the eval sweep
+(:class:`repro.eval.ScenarioSweep`) adds transient-simulation ground truth
+to the same step and reports the error.
 
 Checkpoints — not live predictor objects — are what crosses the process
 boundary, which keeps the jobs picklable and guarantees every worker serves
@@ -24,17 +29,17 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.inference import PredictionResult
 from repro.io.results import ExperimentRecord
-from repro.pdn.designs import Design, design_from_name
+from repro.pdn.designs import Design, DesignFactory, design_from_name
 from repro.resilience.errors import ResilienceError
 from repro.resilience.jobs import run_jobs
 from repro.resilience.retry import RetryPolicy
 from repro.serving.registry import PredictorRegistry
-from repro import obs
+from repro.sim.waveform import CurrentTrace
+from repro import faults, obs
 from repro.workloads.scenarios import build_scenario_trace
 from repro.workloads.specs import ScenarioLike, normalize_scenario
-
-DesignFactory = Callable[[str], Design]
 
 
 @dataclass(frozen=True)
@@ -67,33 +72,43 @@ class ScenarioJob:
         """Short scenario identifier (family name, or family + spec hash)."""
         return normalize_scenario(self.scenario).label
 
-
-def default_design_factory(name: str) -> Design:
-    """Build a design from its sweep name.
-
-    Delegates to :func:`repro.pdn.designs.design_from_name` (seed 0):
-    ``"small"`` (optionally ``"small@<tiles>"``) maps to the unit-test
-    design; ``"D1"`` .. ``"D4"`` (optionally ``"D1@<scale>"``) map to the
-    reference analogues.
-    """
-    return design_from_name(name, seed=0)
+    @property
+    def key(self) -> str:
+        """Stable manifest key of this job (name-only jobs keep legacy keys)."""
+        return f"{self.design}:{self.scenario_label}:{self.num_steps}:s{self.seed}"
 
 
-# Per-worker state, initialised once per process by _worker_init.
+# Per-worker state, initialised once per process by worker_init.
 _WORKER_REGISTRY: Optional[PredictorRegistry] = None
 _WORKER_FACTORY: Optional[DesignFactory] = None
 _WORKER_DESIGNS: dict[str, Design] = {}
 
 
-def _worker_init(registry_root: str, factory: DesignFactory) -> None:
+def worker_init(
+    registry_root: str,
+    design_factory: DesignFactory,
+    faults_factory: Optional[Callable[[], "faults.FaultInjector"]] = None,
+) -> None:
+    """Process-pool initializer: checkpoint registry, design factory, fresh cache.
+
+    ``faults_factory`` mirrors the datagen engine's: when given, its product
+    is installed as the process-global fault injector so pooled jobs script
+    the same failures an inline run would.
+    """
     global _WORKER_REGISTRY, _WORKER_FACTORY
     _WORKER_REGISTRY = PredictorRegistry(registry_root)
-    _WORKER_FACTORY = factory
+    _WORKER_FACTORY = design_factory
     _WORKER_DESIGNS.clear()
+    if faults_factory is not None:
+        faults.install(faults_factory())
 
 
-def _run_job(job: ScenarioJob) -> dict:
-    """Screen one scenario inside a worker; returns plain record fields."""
+def screen_job(job: ScenarioJob) -> tuple[Design, CurrentTrace, PredictionResult, float]:
+    """Build and predict one job's scenario trace inside a worker.
+
+    Returns the worker's design, the trace, the prediction and the predict
+    seconds.
+    """
     assert _WORKER_REGISTRY is not None and _WORKER_FACTORY is not None
     design = _WORKER_DESIGNS.get(job.design)
     if design is None:
@@ -104,10 +119,16 @@ def _run_job(job: ScenarioJob) -> dict:
         job.scenario, design, num_steps=job.num_steps, dt=job.dt, seed=job.seed
     )
     with obs.get_tracer().span(
-        "serving.sweep.job", design=job.design, scenario=job.scenario_label
+        "sweep.job", design=job.design, scenario=job.scenario_label
     ) as predict_span:
         result = predictor.predict_trace(trace, design)
-    obs.metrics().histogram("serving.sweep.predict_seconds").observe(predict_span.duration_s)
+    obs.metrics().histogram("sweep.predict_seconds").observe(predict_span.duration_s)
+    return design, trace, result, predict_span.duration_s
+
+
+def _run_job(job: ScenarioJob) -> dict:
+    """Screen one scenario inside a worker; returns plain record fields."""
+    design, _, result, predict_s = screen_job(job)
     hotspots = result.hotspot_map(design.spec.hotspot_threshold)
     return {
         "design": job.design,
@@ -115,7 +136,7 @@ def _run_job(job: ScenarioJob) -> dict:
         "worst_noise_v": result.worst_noise,
         "mean_noise_v": float(np.mean(result.noise_map)),
         "hotspot_fraction": float(np.mean(hotspots)),
-        "runtime_s": predict_span.duration_s,
+        "runtime_s": predict_s,
         "worker_pid": os.getpid(),
     }
 
@@ -123,7 +144,7 @@ def _run_job(job: ScenarioJob) -> dict:
 def screen_scenarios(
     jobs: Sequence[ScenarioJob],
     registry_root: Union[str, Path],
-    design_factory: DesignFactory = default_design_factory,
+    design_factory: DesignFactory = design_from_name,
     num_workers: Optional[int] = None,
     experiment: str = "serving_sweep",
 ) -> list[ExperimentRecord]:
@@ -158,7 +179,7 @@ def screen_scenarios(
     records = []
     for outcome in run_jobs(
         _run_job, jobs, retry=RetryPolicy(max_attempts=1), num_workers=num_workers,
-        initializer=_worker_init, initargs=(str(registry_root), design_factory),
+        initializer=worker_init, initargs=(str(registry_root), design_factory),
         unit="scenario job",
     ):
         job = outcome.task

@@ -7,7 +7,8 @@ import shutil
 import pytest
 
 from repro.eval import ScenarioSweep
-from repro.eval.sweep import SWEEP_NAME, SweepJob
+from repro.eval.sweep import SWEEP_NAME
+from repro.serving import ScenarioJob
 from repro.workloads import scenario_spec
 
 
@@ -105,10 +106,10 @@ class TestScenarioSweep:
         assert hot["predicted_worst_noise_v"] > default["predicted_worst_noise_v"]
 
     def test_job_keys_stable_for_named_scenarios(self):
-        job = SweepJob(heldout="D3", scenario="power_virus", num_steps=60, seed=1)
+        job = ScenarioJob(design="D3", scenario="power_virus", num_steps=60, seed=1)
         assert job.key == "D3:power_virus:60:s1"
-        spec_job = SweepJob(
-            heldout="D3", scenario=scenario_spec("power_virus", swing=2.0),
+        spec_job = ScenarioJob(
+            design="D3", scenario=scenario_spec("power_virus", swing=2.0),
             num_steps=60, seed=1,
         )
         assert spec_job.key.startswith("D3:power_virus[")

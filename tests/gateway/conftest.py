@@ -16,6 +16,7 @@ import pytest
 from repro.features.extraction import extract_vector_features_batch
 from repro.gateway import ConsistentHashRing, ScreeningGateway
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience import RetryPolicy
 from repro.serving import PredictorRegistry
 
 
@@ -74,8 +75,7 @@ def make_gateway(gateway_root, tiny_design):
 
     def make(**kwargs) -> ScreeningGateway:
         kwargs.setdefault("num_shards", 2)
-        kwargs.setdefault("backoff_base", 0.01)
-        kwargs.setdefault("backoff_cap", 0.08)
+        kwargs.setdefault("restart", RetryPolicy(max_attempts=3, backoff_s=0.01))
         kwargs.setdefault("metrics", MetricsRegistry())
         kwargs.setdefault("design_factory", lambda name: tiny_design)
         gateway = ScreeningGateway(gateway_root, **kwargs)

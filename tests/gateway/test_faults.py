@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.gateway import FaultInjector, WorkerCrashed, WorkerKilled
+from repro.resilience import RetryPolicy
 
 
 class KillOnce(FaultInjector):
@@ -154,7 +155,9 @@ def test_crash_during_batch_fill_hands_dequeued_requests_to_supervisor(
 def test_persistent_crashes_exhaust_retries_with_backoff(
     make_gateway, wait_for, tiny_design, tiny_features
 ):
-    gateway = make_gateway(faults=AlwaysKill(), max_retries=1)
+    gateway = make_gateway(
+        faults=AlwaysKill(), restart=RetryPolicy(max_attempts=2, backoff_s=0.01)
+    )
     future = gateway.submit_async(tiny_features[0], tiny_design.name)
     with pytest.raises(WorkerCrashed) as crashed:
         future.result(timeout=15)
@@ -166,6 +169,20 @@ def test_persistent_crashes_exhaust_retries_with_backoff(
     history = gateway.backoff_history(shard)
     assert history == [pytest.approx(0.01), pytest.approx(0.02)]
     wait_for(lambda: gateway.metrics.counter("gateway.restarts").value == 2)
+
+
+def test_restart_backoff_is_capped(make_gateway, wait_for, tiny_design, tiny_features):
+    # A policy whose first delay exceeds the cap: the supervisor waits the
+    # cap (and close() cuts that wait short instead of sleeping through it).
+    gateway = make_gateway(
+        faults=AlwaysKill(), restart=RetryPolicy(max_attempts=1, backoff_s=60.0)
+    )
+    future = gateway.submit_async(tiny_features[0], tiny_design.name)
+    with pytest.raises(WorkerCrashed):
+        future.result(timeout=15)
+    shard = gateway.shard_for(tiny_design.name)
+    wait_for(lambda: gateway.backoff_history(shard))
+    assert gateway.backoff_history(shard) == [pytest.approx(2.0)]
 
 
 def test_duplicated_delivery_answers_exactly_once(
@@ -277,7 +294,7 @@ def test_drain_resolves_every_future_even_under_crashes(
     ]
     gateway.close(drain=True)
     # Drain kept restarting through the crash: every future resolved, with
-    # a real result (the kill-once fault is retryable within max_retries).
+    # a real result (the kill-once fault is retryable within the restart policy's attempts).
     assert all(future.done() for future in futures)
     for future, expected in zip(futures, expected_results):
         assert_noise_close(future.result(timeout=0), expected)

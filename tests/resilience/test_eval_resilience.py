@@ -122,6 +122,18 @@ class TestSweepResilience:
         assert sorted(record.label for record in records) == sorted(keys)
         assert healthy.load_quarantined() == {}
 
+    def test_quarantine_of_another_campaign_is_rejected(self, monkeypatch, tmp_path):
+        config = small_grid()
+        keys = [job.key for job in ScenarioSweep(config, tmp_path).jobs()]
+        self._make_sweep(monkeypatch, tmp_path, FlakyRows({keys[0]: 99}), config).run(
+            num_workers=0
+        )
+        other = ScenarioSweep(dataclasses.replace(config, scenario_seeds=(7,)), tmp_path)
+        with pytest.raises(ValueError, match="different campaign"):
+            other.load_rows()
+        with pytest.raises(ValueError, match="different campaign"):
+            other.load_quarantined()
+
     def test_worker_killed_unwinds_the_sweep(self, monkeypatch, tmp_path):
         def killed(key):
             raise WorkerKilled("preempted")
@@ -132,13 +144,13 @@ class TestSweepResilience:
 
     def test_real_row_worker_fires_the_seam_first(self, tmp_path):
         import repro.eval.sweep as sweep_module
+        from repro.serving.sweep import ScenarioJob, worker_init
 
-        # Initialise worker state against an empty registry: the scripted
-        # fault must fire before the job touches designs or checkpoints.
-        sweep_module._worker_init(str(tmp_path), {}, 1e-11)
-        job = sweep_module.SweepJob(
-            heldout="nonexistent", scenario="power_virus", num_steps=8, seed=0
-        )
+        # Initialise worker state against an empty registry and an empty
+        # design mapping: the scripted fault must fire before the job
+        # touches designs or checkpoints.
+        worker_init(str(tmp_path), {}.__getitem__)
+        job = ScenarioJob(design="nonexistent", scenario="power_virus", num_steps=8, seed=0)
         scripted = ScriptedFaults().fail_at("eval.row", 0, RuntimeError("row fault"))
         with faults.injected(scripted):
             with pytest.raises(RuntimeError, match="row fault"):

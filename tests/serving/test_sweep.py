@@ -5,7 +5,7 @@ import pytest
 
 from repro.pdn import small_test_design
 from repro.resilience import ResilienceError
-from repro.serving import ScenarioJob, default_design_factory, screen_scenarios
+from repro.serving import ScenarioJob, screen_scenarios
 from repro.workloads.scenarios import scenario_families
 
 
@@ -112,14 +112,3 @@ class TestScreenScenarios:
             "scenario job unregistered:power_virus failed: KeyError("
         )
 
-
-class TestDefaultDesignFactory:
-    def test_small_names(self):
-        design = default_design_factory("small")
-        assert design.tile_grid.shape == (8, 8)
-        sized = default_design_factory("small@6")
-        assert sized.tile_grid.shape == (6, 6)
-
-    def test_reference_names_with_scale(self):
-        design = default_design_factory("D1@0.1")
-        assert design.name == "D1"
