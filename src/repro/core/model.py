@@ -23,12 +23,18 @@ import numpy as np
 from repro.core.config import ModelConfig
 from repro.core.subnets import CurrentFusionNet, DistanceReductionNet, NoisePredictionNet
 from repro.nn import Module, Tensor, as_tensor, cat
+from repro.nn.tensor import grad_enabled
 
 ArrayOrTensor = Union[np.ndarray, Tensor]
 
 #: A batch of test vectors: either a dense ``(N, T, m, n)`` stack (all vectors
 #: share the stamp count) or a sequence of ``(T_i, m, n)`` ragged stacks.
 CurrentBatch = Union[ArrayOrTensor, Sequence[ArrayOrTensor]]
+
+#: Working-set budget of one no-grad fusion-subnet chunk: the stamps of a
+#: chunk are sized so its largest im2col buffer (the output conv's) stays
+#: about one core's L2 cache.
+_FUSION_CHUNK_BYTES = 4 * 2**20
 
 
 class WorstCaseNoiseNet(Module):
@@ -88,7 +94,7 @@ class WorstCaseNoiseNet(Module):
             raise ValueError(f"current maps must have shape (T, m, n), got {tensor.shape}")
         num_steps, height, width = tensor.shape
         as_batch = tensor.reshape(num_steps, 1, height, width)
-        fused = self.fusion_subnet(as_batch)  # (T, 1, m, n)
+        fused = self._fuse_stamps(as_batch)  # (T, 1, m, n)
         # Single source of truth for the statistics formulas: the same helper
         # serves the batched path, so forward() and forward_batch() can never
         # drift apart.
@@ -109,7 +115,7 @@ class WorstCaseNoiseNet(Module):
         height, width = tensors[0].shape[1], tensors[0].shape[2]
         flat = tensors[0] if len(tensors) == 1 else cat(tensors, axis=0)
         total = flat.shape[0]
-        fused = self.fusion_subnet(flat.reshape(total, 1, height, width))
+        fused = self._fuse_stamps(flat.reshape(total, 1, height, width))
         fused = fused.reshape(total, height, width)
 
         if len(set(lengths)) == 1:
@@ -138,6 +144,33 @@ class WorstCaseNoiseNet(Module):
         if order == sorted(order):
             return stacked
         return stacked[np.argsort(order)]
+
+    def _fuse_stamps(self, stamps: Tensor) -> Tensor:
+        """Run the fusion subnet over ``(S, 1, m, n)`` stamp maps.
+
+        Without autograd the stamps go through in chunks whose largest im2col
+        buffer (``fusion_kernels * k * k * m * n`` items per map) fits
+        :data:`_FUSION_CHUNK_BYTES`, so a large serving batch stays
+        cache-resident instead of streaming every layer through memory.
+        Maps are independent, so the chunked result is bit-identical.  With
+        autograd the batch stays one graph: chunking would re-associate the
+        weight gradient's sums over the batch.
+        """
+        total, _, height, width = stamps.shape
+        kernel = self.config.kernel_size
+        map_bytes = self.config.fusion_kernels * kernel * kernel * height * width
+        chunk = max(1, _FUSION_CHUNK_BYTES // (map_bytes * stamps.dtype.itemsize))
+        if grad_enabled() or total <= chunk:
+            return self.fusion_subnet(stamps)
+        data = stamps.data
+        return Tensor(
+            np.concatenate(
+                [
+                    self.fusion_subnet(Tensor(data[start : start + chunk])).data
+                    for start in range(0, total, chunk)
+                ]
+            )
+        )
 
     @staticmethod
     def _temporal_statistics(per_vector: Tensor, axis: int) -> Tensor:

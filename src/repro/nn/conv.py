@@ -5,8 +5,12 @@ strided transposed convolutions (upsampling), and stride-1 convolutions with
 *replication* padding for conv layers and *zero* padding for deconv layers
 (Sec. 3.4.1).  These primitives are implemented with the standard
 im2col/col2im formulation so that the heavy lifting is a single matrix
-product per layer, and both directions (forward and gradient) share the same
-two routines.
+product per layer.  The one exception is the transposed convolution's
+forward fold: :func:`fold_transposed` splits the output into its
+``stride**2`` phases and sums each one in a small contiguous buffer (the
+sub-pixel view of a strided transposed convolution, Shi et al.,
+arXiv:1609.07009), bit-identical to ``col2im`` plus crop but without the
+strided scatter-add over a padded buffer.
 
 Array layout is NCHW throughout.
 """
@@ -33,14 +37,31 @@ PADDING_MODES = ("zeros", "replicate")
 
 
 def pad_input(x: np.ndarray, padding: int, mode: str) -> np.ndarray:
-    """Pad the two spatial axes of an NCHW array."""
+    """Pad the two spatial axes of an NCHW array.
+
+    Built from slice copies rather than ``np.pad``, whose per-call overhead
+    dominates on the small maps a chunked forward pass pads many times.
+    """
     if padding == 0:
         return x
+    if mode not in PADDING_MODES:
+        raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
+    batch, channels, height, width = x.shape
+    shape = (batch, channels, height + 2 * padding, width + 2 * padding)
     if mode == "zeros":
-        return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    if mode == "replicate":
-        return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="edge")
-    raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
+        padded = np.zeros(shape, dtype=x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        return padded
+    padded = np.empty(shape, dtype=x.dtype)
+    # Centre rows with their left/right edge columns, then the top/bottom
+    # borders as copies of the first/last full padded row.
+    rows = padded[:, :, padding:-padding]
+    rows[:, :, :, padding:-padding] = x
+    rows[:, :, :, :padding] = x[:, :, :, :1]
+    rows[:, :, :, -padding:] = x[:, :, :, -1:]
+    padded[:, :, :padding] = padded[:, :, padding : padding + 1]
+    padded[:, :, -padding:] = padded[:, :, -padding - 1 : -padding]
+    return padded
 
 
 def unpad_gradient(grad_padded: np.ndarray, padding: int, mode: str) -> np.ndarray:
@@ -111,6 +132,83 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col` (via the active kernel backend)."""
     return kernels.col2im(columns, padded_shape, kernel, stride)
+
+
+def _tap_span(tap: int, phase: int, padding: int, stride: int, phase_size: int, in_size: int):
+    """Where kernel tap ``tap`` lands in output phase ``phase`` along one axis.
+
+    Returns ``(lo, hi, offset)``: phase positions ``lo:hi`` receive input
+    positions ``lo + offset : hi + offset``; ``None`` if the tap misses the
+    phase.
+    """
+    if (phase + padding - tap) % stride:
+        return None
+    offset = (phase + padding - tap) // stride
+    lo, hi = max(0, -offset), min(phase_size, in_size - offset)
+    return (lo, hi, offset) if hi > lo else None
+
+
+def fold_transposed(
+    columns: np.ndarray,
+    in_size: tuple[int, int],
+    out_size: tuple[int, int],
+    kernel: int,
+    stride: int,
+    padding: int,
+    bias: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Fold transposed-convolution GEMM columns into the cropped output.
+
+    Equivalent to ``col2im`` on the padded shape, a crop of ``padding`` and
+    a bias add, without the strided scatter-add over the padded buffer.
+    Output pixel ``y`` only receives taps ``kh`` with
+    ``kh = y + padding (mod stride)``, so the output splits into ``stride**2``
+    disjoint phases ``(dh, dw)`` (the sub-pixel view of a strided transposed
+    convolution).  Each phase is summed in one reused contiguous buffer,
+    adding its taps in ``col2im``'s ``(kh, kw)`` order so every pixel sums the
+    same terms in the same order (bit-identical), and is then written into
+    its strided slot of the output.  A phase that no tap reaches (kernel
+    smaller than stride) is zero plus bias.
+
+    ``columns`` is ``(N, C * kernel * kernel, H * W)``; the result is a fresh
+    C-contiguous ``(N, C, OH, OW)`` array.
+    """
+    in_h, in_w = in_size
+    out_h, out_w = out_size
+    batch = columns.shape[0]
+    channels = columns.shape[1] // (kernel * kernel)
+    taps = columns.reshape(batch, channels, kernel, kernel, in_h, in_w)
+    dtype = columns.dtype if bias is None else np.result_type(columns, bias)
+    output = np.empty((batch, channels, out_h, out_w), dtype=dtype)
+    buffer = take_workspace(
+        (batch, channels, -(-out_h // stride), -(-out_w // stride)), dtype=columns.dtype
+    )
+    for dh in range(stride):
+        rows = len(range(dh, out_h, stride))
+        row_spans = [_tap_span(kh, dh, padding, stride, rows, in_h) for kh in range(kernel)]
+        for dw in range(stride):
+            cols = len(range(dw, out_w, stride))
+            col_spans = [_tap_span(kw, dw, padding, stride, cols, in_w) for kw in range(kernel)]
+            phase = buffer[:, :, :rows, :cols]
+            phase.fill(0)
+            for kh, row_span in enumerate(row_spans):
+                if row_span is None:
+                    continue
+                r0, r1, r_off = row_span
+                for kw, col_span in enumerate(col_spans):
+                    if col_span is None:
+                        continue
+                    c0, c1, c_off = col_span
+                    phase[:, :, r0:r1, c0:c1] += taps[
+                        :, :, kh, kw, r0 + r_off : r1 + r_off, c0 + c_off : c1 + c_off
+                    ]
+            slot = output[:, :, dh::stride, dw::stride]
+            if bias is None:
+                np.copyto(slot, phase)
+            else:
+                np.add(phase, bias.reshape(1, -1, 1, 1), out=slot)
+    release_workspace(buffer)
+    return output
 
 
 class Conv2dFunction(Function):
@@ -241,20 +339,16 @@ class ConvTranspose2dFunction(Function):
         # Plain matmul (no out=) — numpy's out= variant takes a slower
         # buffered path; the transient result is parked in the pool instead.
         columns = kernels.matmul(weight_matrix.T, x_flat)
-        output_padded = col2im(columns, padded_shape, kernel, stride)
+        output = fold_transposed(
+            columns, (in_h, in_w), (out_h, out_w), kernel, stride, padding, bias
+        )
         release_workspace(columns)
-        if padding > 0:
-            output = output_padded[:, :, padding:-padding, padding:-padding]
-        else:
-            output = output_padded
-        if bias is not None:
-            output = output + bias.reshape(1, -1, 1, 1)
         if grad_enabled():
             ctx.save(x_flat, weight, padded_shape)
         ctx.attrs.update(
             stride=stride, padding=padding, has_bias=bias is not None, input_shape=x.shape
         )
-        return np.ascontiguousarray(output)
+        return output
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):

@@ -1,9 +1,12 @@
 """Kernel dispatch: the single owner of matmul/im2col/col2im entry points.
 
-Every dense kernel the network executes — the batched GEMM behind a
-convolution, the im2col unfold, the col2im fold, the workspace pool feeding
-them — routes through this module, so precision policy, threading and
-backend selection live in exactly one place:
+Every GEMM the network executes, the im2col unfold, the col2im fold and
+the workspace pool feeding them route through this module, so precision
+policy, threading and backend selection live in exactly one place.  One
+fold does not: the transposed convolution's *forward* pass folds its GEMM
+columns phase by phase straight into the cropped output
+(:func:`repro.nn.conv.fold_transposed`, plain numpy adds), so ``col2im``
+here serves the backward passes (``Conv2d``'s input gradient) only:
 
 * **Dtype policy.**  Kernels run in ``float64`` (the bit-exact reference,
   the only dtype the training path accepts) or ``float32`` (the serving

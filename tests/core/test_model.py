@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ModelConfig
+from repro.core import model as model_module
 from repro.core.model import WorstCaseNoiseNet
 from repro.nn import no_grad
 
@@ -74,3 +75,56 @@ class TestWorstCaseNoiseNet:
             model.reduce_distance(rng.random((9, 8)))
         with pytest.raises(ValueError):
             model.fuse_currents(rng.random((8, 8)))
+
+
+class TestChunkedFusion:
+    """The no-grad fusion pass runs in stamp chunks with unchanged answers."""
+
+    @staticmethod
+    def _net(dtype):
+        net = WorstCaseNoiseNet(num_bumps=3, config=ModelConfig(seed=4))
+        return net.astype(dtype)
+
+    @staticmethod
+    def _chunk(net, dtype, height, width):
+        config = net.config
+        map_items = config.fusion_kernels * config.kernel_size**2 * height * width
+        return max(1, model_module._FUSION_CHUNK_BYTES // (map_items * np.dtype(dtype).itemsize))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dense_batch_matches_grad_forward(self, dtype, rng):
+        net = self._net(dtype)
+        chunk = self._chunk(net, dtype, 8, 8)
+        stamps = -(-(2 * chunk + 5) // 4)
+        assert 4 * stamps > 2 * chunk  # at least three chunks
+        currents = rng.random((4, stamps, 8, 8)).astype(dtype)
+        distance = rng.random((3, 8, 8)).astype(dtype)
+        expected = net.forward_batch(currents, distance).data
+        with no_grad():
+            chunked = net.forward_batch(currents, distance).data
+        assert chunked.dtype == np.dtype(dtype)
+        assert np.array_equal(chunked, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ragged_batch_matches_grad_forward(self, dtype, rng):
+        net = self._net(dtype)
+        chunk = self._chunk(net, dtype, 7, 9)
+        lengths = [chunk + 3, 5, chunk - 1, 11, chunk // 2]
+        assert sum(lengths) > 2 * chunk
+        currents = [rng.random((length, 7, 9)).astype(dtype) for length in lengths]
+        distance = rng.random((3, 7, 9)).astype(dtype)
+        expected = net.forward_batch(currents, distance).data
+        with no_grad():
+            chunked = net.forward_batch(currents, distance).data
+        assert np.array_equal(chunked, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_single_vector_matches_grad_forward(self, dtype, rng):
+        net = self._net(dtype)
+        stamps = 2 * self._chunk(net, dtype, 8, 8) + 1
+        currents = rng.random((stamps, 8, 8)).astype(dtype)
+        distance = rng.random((3, 8, 8)).astype(dtype)
+        expected = net(currents, distance).data
+        with no_grad():
+            chunked = net(currents, distance).data
+        assert np.array_equal(chunked, expected)

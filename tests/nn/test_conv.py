@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, conv2d, conv_transpose2d, conv_output_size, conv_transpose_output_size
-from repro.nn.conv import col2im, im2col, pad_input, unpad_gradient
+from repro.nn import kernels
+from repro.nn.conv import col2im, fold_transposed, im2col, pad_input, unpad_gradient
 from repro.nn.modules import Conv2d, ConvTranspose2d
 from tests.nn.gradcheck import check_input_gradient, check_parameter_gradient
 
@@ -30,6 +31,18 @@ class TestPadding:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             pad_input(np.ones((1, 1, 2, 2)), 1, "reflect")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("padding", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 1, 7), (1, 2, 6, 1), (2, 2, 5, 4)])
+    def test_matches_np_pad(self, shape, padding, dtype, rng):
+        x = rng.standard_normal(shape).astype(dtype)
+        widths = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        for mode, np_mode in (("zeros", "constant"), ("replicate", "edge")):
+            padded = pad_input(x, padding, mode)
+            expected = np.pad(x, widths, mode=np_mode)
+            assert padded.dtype == expected.dtype
+            assert np.array_equal(padded, expected), mode
 
     def test_unpad_is_adjoint_of_pad(self, rng):
         # <pad(x), y> == <x, unpad(y)> for both padding modes.
@@ -120,6 +133,54 @@ class TestConv2dGradients:
         layer = Conv2d(3, 4, seed=0)
         with pytest.raises(ValueError):
             layer(Tensor(rng.standard_normal((1, 2, 5, 5))))
+
+
+class TestTransposedFold:
+    """The phase fold equals col2im on the padded shape, cropped, plus bias."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_matches_col2im_and_crop(self, kernel, stride, dtype, rng):
+        checked = 0
+        for padding in range(kernel):
+            for in_h, in_w in ((1, 1), (5, 6), (8, 8)):
+                out_h = conv_transpose_output_size(in_h, kernel, stride, padding)
+                out_w = conv_transpose_output_size(in_w, kernel, stride, padding)
+                if out_h < 1 or out_w < 1:
+                    continue
+                columns = rng.standard_normal((2, 3 * kernel * kernel, in_h * in_w)).astype(dtype)
+                bias = rng.standard_normal(3).astype(dtype)
+                padded_shape = (2, 3, out_h + 2 * padding, out_w + 2 * padding)
+                cropped = col2im(columns, padded_shape, kernel, stride)[
+                    :, :, padding : padding + out_h, padding : padding + out_w
+                ]
+                biased = cropped + bias.reshape(1, -1, 1, 1)
+                for b, expected in ((None, cropped), (bias, biased)):
+                    folded = fold_transposed(
+                        columns, (in_h, in_w), (out_h, out_w), kernel, stride, padding, b
+                    )
+                    assert folded.dtype == expected.dtype
+                    assert folded.flags.c_contiguous
+                    assert np.array_equal(folded, expected), (padding, in_h, in_w, b is None)
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(4, 2, 1), (1, 3, 0), (2, 3, 1)])
+    def test_ignores_stale_pooled_buffers(self, kernel, stride, padding, rng):
+        # Phases some or no taps reach must come out zero, whatever the
+        # pooled phase buffer held before.
+        x = rng.standard_normal((2, 3, 5, 6))
+        weight = rng.standard_normal((3, 2, kernel, kernel))
+        expected = conv_transpose2d(Tensor(x), Tensor(weight), stride=stride, padding=padding).data
+        out_h, out_w = expected.shape[2:]
+        kernels.clear_workspace_pool()
+        stale = kernels.take_workspace((2, 2, -(-out_h // stride), -(-out_w // stride)))
+        stale.fill(np.nan)
+        kernels.release_workspace(stale)
+        result = conv_transpose2d(Tensor(x), Tensor(weight), stride=stride, padding=padding).data
+        kernels.clear_workspace_pool()
+        assert np.array_equal(result, expected)
 
 
 class TestConvTranspose2dGradients:
